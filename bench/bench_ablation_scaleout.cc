@@ -12,16 +12,11 @@
 //  * "simulated" — the cbench surrogate measures saturation throughput and
 //    no-load latency in simulated time (N=1 is the paper's calibrated
 //    single PCP; Table I);
-//  * "threads" — std::thread workers blocking for their sampled Table II
-//    service time (the production PCP blocks on IPC to the ERM / Policy
-//    Manager), submitted per packet: throughput scales with in-flight
-//    decisions, exactly as before the batched datapath landed;
-//  * "threads_batch" — the pure-CPU decision datapath (zero_latency): shard
-//    count x batch size, submitted through handle_packet_in_batch. This is
-//    the section that measures the ring + batching machinery itself —
-//    submission, decide, completion drain, in-order apply — with no
-//    blocking to hide overhead, and the section the committed baseline
-//    gates.
+//  * "threads_batch" — the threaded backend, which runs on real CPU only:
+//    shard count x batch size, submitted through handle_packet_in_batch.
+//    This is the section that measures the ring + batching machinery
+//    itself — submission, decide, completion drain, in-order apply — and
+//    the section the committed baseline gates.
 //
 // Emits BENCH_scaleout.json. Flags (the PR 4 gate pattern):
 //   --smoke                  bounded run for CI: threads_batch sweep only
@@ -115,72 +110,10 @@ std::vector<PacketInMsg> make_tuples(std::size_t count) {
   return tuples;
 }
 
-// ------------------------------------------- threaded backend (wall clock)
-
-// Table II blocking workload, per-packet submission: unchanged from PR 2 so
-// the section stays comparable across this bench's history.
-Point run_threaded_point(std::size_t shards) {
-  constexpr std::size_t kTuples = 256;
-  constexpr std::size_t kPackets = 400;
-
-  Simulator sim;
-  MessageBus bus;
-  EntityResolutionManager erm(bus);
-  PolicyManager manager(bus);
-  PcpConfig config;
-  config.backend = PcpBackend::kThreads;
-  config.shards = shards;
-  config.queue_capacity = 64;
-  PolicyCompilationPoint pcp(sim, bus, erm, manager, config, Rng(11));
-  pcp.register_switch(Dpid{1}, [](const OfMessage&) {});
-
-  PolicyRule allow;
-  allow.action = PolicyAction::kAllow;
-  manager.insert(allow, PdpPriority{10}, "bench");
-
-  const std::vector<PacketInMsg> tuples = make_tuples(kTuples);
-
-  using Clock = std::chrono::steady_clock;
-  std::vector<Clock::time_point> submitted(kPackets);
-  SampleStats sojourn_ms;
-
-  const Clock::time_point start = Clock::now();
-  for (std::size_t i = 0; i < kPackets; ++i) {
-    submitted[i] = Clock::now();
-    const auto done = [&sojourn_ms, &submitted, i](const PcpDecision&) {
-      sojourn_ms.add(std::chrono::duration<double, std::milli>(
-                         Clock::now() - submitted[i])
-                         .count());
-    };
-    // Open loop with a bounded shard queue: on rejection, release finished
-    // decisions and retry. Workers are blocked in service waits, so the
-    // retry loop naps instead of spinning.
-    while (!pcp.handle_packet_in(Dpid{1}, tuples[i % kTuples], done)) {
-      if (pcp.poll_completions() == 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-    }
-    pcp.poll_completions();
-  }
-  pcp.wait_idle();
-  const double elapsed_s =
-      std::chrono::duration<double>(Clock::now() - start).count();
-
-  Point point;
-  point.shards = shards;
-  point.throughput_fps = static_cast<double>(kPackets) / elapsed_s;
-  point.latency_p50_ms = sojourn_ms.percentile(50.0);
-  point.latency_p99_ms = sojourn_ms.percentile(99.0);
-  for (std::size_t s = 0; s < pcp.shard_count(); ++s) {
-    point.shard_hit_rates.push_back(pcp.decision_cache_stats(s).hit_rate());
-  }
-  return point;
-}
-
 // --------------------------------------- batched datapath (pure CPU cost)
 
-// The machinery measurement: zero_latency strips the modeled Table II
-// blocking, so what remains is exactly the cost the batched datapath is
+// The machinery measurement: the threaded backend models no Table II
+// time, so what it spends is exactly the cost the batched datapath is
 // built to shrink — per-decision submission, ring transfer, snapshot
 // acquisition, decide, completion drain and in-order apply. Decisions/s
 // here is end to end: a packet counts only once its effects have applied
@@ -197,7 +130,6 @@ BatchPoint run_threaded_batch_point(std::size_t shards, std::size_t batch,
   config.backend = PcpBackend::kThreads;
   config.shards = shards;
   config.queue_capacity = 512;
-  config.zero_latency = true;
   PolicyCompilationPoint pcp(sim, bus, erm, manager, config, Rng(11));
   pcp.register_switch(Dpid{1}, [](const OfMessage&) {});
 
@@ -299,7 +231,7 @@ void print_report(const char* title, const std::vector<Point>& points) {
 }
 
 void print_batch_report(const std::vector<BatchPoint>& points) {
-  Report report("Batched datapath: decisions/s (zero-latency, pure CPU cost)");
+  Report report("Batched datapath: decisions/s (threaded backend, real CPU)");
   report.columns({"shards", "batch", "decisions/s", "latency p50 (ms)",
                   "latency p99 (ms)"});
   for (const BatchPoint& p : points) {
@@ -363,17 +295,11 @@ int run(bool smoke, const char* baseline_path) {
               smoke ? " (smoke)" : "");
 
   std::vector<Point> simulated;
-  std::vector<Point> threaded;
   if (!smoke) {
     for (const std::size_t shards : kShardSweep) {
       simulated.push_back(run_simulated_point(shards));
       std::printf("simulated shards=%zu: %.0f flows/s\n", shards,
                   simulated.back().throughput_fps);
-    }
-    for (const std::size_t shards : kShardSweep) {
-      threaded.push_back(run_threaded_point(shards));
-      std::printf("threads   shards=%zu: %.0f flows/s\n", shards,
-                  threaded.back().throughput_fps);
     }
   }
 
@@ -398,9 +324,6 @@ int run(bool smoke, const char* baseline_path) {
   if (!smoke) {
     print_report("Simulated backend: saturation throughput vs shards (DES)",
                  simulated);
-    print_report("Thread backend: wall-clock throughput vs shards (Table II "
-                 "blocking)",
-                 threaded);
   }
   print_batch_report(batched);
 
@@ -409,17 +332,11 @@ int run(bool smoke, const char* baseline_path) {
   if (!smoke) {
     append_json(out, "simulated", simulated);
     out << ",\n";
-    append_json(out, "threads", threaded);
-    out << ",\n";
   }
   append_batch_json(out, batched);
   out << "\n}\n";
   std::printf("wrote BENCH_scaleout.json\n");
 
-  if (!smoke && threaded.size() >= 3 && threaded[0].throughput_fps > 0) {
-    std::printf("thread backend scaling at 4 shards: %.2fx\n",
-                threaded[2].throughput_fps / threaded[0].throughput_fps);
-  }
   if (baseline_path != nullptr) return check_baseline(baseline_path, batched);
   return 0;
 }

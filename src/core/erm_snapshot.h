@@ -112,10 +112,12 @@ struct ErmIdentityTables {
 };
 
 // One immutable, epoch-stamped view of the identity bindings. Cheap to
-// copy (a shared_ptr plus the epoch); safe to read from any thread.
+// copy (a shared_ptr plus the epoch); safe to read from any thread. Only
+// the ERM publishes one: there is deliberately no default constructor,
+// since an empty snapshot would have to build throwaway tables and an
+// interner on the hot path.
 class ErmSnapshot {
  public:
-  ErmSnapshot() : tables_(std::make_shared<const ErmIdentityTables>()) {}
   ErmSnapshot(std::shared_ptr<const ErmIdentityTables> tables, std::uint64_t epoch)
       : tables_(std::move(tables)), epoch_(epoch) {}
 

@@ -1,8 +1,6 @@
 #include "core/pcp.h"
 
 #include <cassert>
-#include <chrono>
-#include <thread>
 #include <utility>
 
 #include "common/logging.h"
@@ -134,28 +132,14 @@ std::size_t PolicyCompilationPoint::submit_threaded_batch(BatchItem* items,
   // control-thread effect can run between these submissions, so per-item
   // captures would return the identical pair anyway — batch submission is
   // byte-identical to a back-to-back handle_packet_in loop by construction.
-  // Workers borrow the context by raw pointer; retire_batches frees it.
-  auto context = std::make_unique<BatchContext>();
-  context->snapshots = capture_snapshots();
-  context->policy_epoch = context->snapshots.policy->epoch();
-  context->binding_epoch = context->snapshots.erm.epoch();
-  BatchContext* ctx = context.get();
+  // Workers borrow the pair by raw pointer; retire_batches frees it.
+  auto snapshots = std::make_unique<const DecisionSnapshots>(capture_snapshots());
+  const DecisionSnapshots* batch = snapshots.get();
 
   std::size_t accepted = 0;
   for (std::size_t i = 0; i < count; ++i) {
     BatchItem& item = items[i];
     ++stats_.packet_ins;
-
-    // Table II draws, per item and before shard routing, in the same order
-    // as per-packet submission (see submit_simulated_one).
-    double binding_ms = 0.0, policy_ms = 0.0, other_ms = 0.0;
-    if (!config_.zero_latency) {
-      binding_ms = rng_.lognormal(binding_service_);
-      policy_ms = rng_.lognormal(policy_service_);
-      other_ms = rng_.lognormal(other_service_);
-    }
-    const double total_ms = binding_ms + policy_ms + other_ms;
-
     DecisionInput input = make_decision_input(item.dpid, item.msg);
     const std::size_t shard = pool_.shard_of(input.flow_key);
 
@@ -170,29 +154,16 @@ std::size_t PolicyCompilationPoint::submit_threaded_batch(BatchItem* items,
     }
     item.accepted = pool_.submit_threaded(
         shard,
-        [this, ctx, dpid = item.dpid, shard, input = std::move(input),
-         done = std::move(item.done), binding_ms, policy_ms, other_ms,
-         total_ms]() mutable -> std::function<void()> {
-          if (total_ms > 0.0) {
-            // The paper's PCP spends its Table II service time blocked on
-            // component queries (IPC to the ERM and Policy Manager), not on
-            // CPU. Model that as real blocking time so wall-clock
-            // throughput scales with the number of in-flight decisions,
-            // exactly like the simulated backend's service stations.
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(total_ms));
-          }
+        [this, batch, dpid = item.dpid, shard, input = std::move(input),
+         done = std::move(item.done)]() mutable -> std::function<void()> {
+          // Real CPU only: the Table II service times are a model of the
+          // paper's PCP and apply to the simulated backend alone.
           DecisionEffects effects =
-              decide_on_snapshots(input, ctx->snapshots, *caches_[shard], config_);
+              decide_on_snapshots(input, *batch, *caches_[shard], config_);
           return [this, dpid, input = std::move(input),
                   effects = std::move(effects), done = std::move(done),
-                  policy_epoch = ctx->policy_epoch,
-                  binding_epoch = ctx->binding_epoch, binding_ms, policy_ms,
-                  other_ms, total_ms]() mutable {
-            binding_latency_ms_.add(binding_ms);
-            policy_latency_ms_.add(policy_ms);
-            other_latency_ms_.add(other_ms);
-            total_latency_ms_.add(total_ms);
+                  policy_epoch = batch->policy->epoch(),
+                  binding_epoch = batch->erm.epoch()]() mutable {
             if (input.packet.has_value()) {
               observe_mac_location(dpid, input.in_port, input.packet->eth.src);
             }
@@ -217,7 +188,7 @@ std::size_t PolicyCompilationPoint::submit_threaded_batch(BatchItem* items,
     }
   }
   if (accepted > 0) {
-    batches_.push_back(PendingBatch{pool_.submitted_seq(), std::move(context)});
+    batches_.push_back(PendingBatch{pool_.submitted_seq(), std::move(snapshots)});
   }
   return accepted;
 }

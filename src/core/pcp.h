@@ -27,9 +27,10 @@
 //
 // Capacity model: requests are served by bounded worker pools (paper
 // Section V-A: saturation at ~1350 flows/sec, bounded queue, drops past
-// saturation). Component latencies are sampled from log-normal
-// distributions calibrated to Table II. With the default
-// shards=1/kSimulated backend this is exactly the paper's single PCP.
+// saturation). On the simulated backend, component latencies are sampled
+// from log-normal distributions calibrated to Table II; with the default
+// shards=1 this is exactly the paper's single PCP. The threaded backend
+// spends only the real CPU time of each decision.
 #pragma once
 
 #include <cstdint>
@@ -136,7 +137,7 @@ class PolicyCompilationPoint {
 
   // Threaded backend only: release finished decisions' effects on the
   // calling (control) thread, in submission order. No-ops for kSimulated.
-  // Also retires batch snapshot contexts whose last borrower has applied.
+  // Also retires batch snapshot pairs whose last borrower has applied.
   std::size_t poll_completions();
   void wait_idle();
 
@@ -162,34 +163,30 @@ class PolicyCompilationPoint {
   std::size_t queue_depth() const { return pool_.queue_depth(); }
   const PcpShardPool& pool() const { return pool_; }
 
-  // Per-component simulated latency, for the Table II reproduction.
+  // Per-component simulated latency, for the Table II reproduction
+  // (simulated backend only; the threaded backend records none).
   const SampleStats& binding_latency_ms() const { return binding_latency_ms_; }
   const SampleStats& policy_latency_ms() const { return policy_latency_ms_; }
   const SampleStats& other_latency_ms() const { return other_latency_ms_; }
   const SampleStats& total_latency_ms() const { return total_latency_ms_; }
 
  private:
-  // Snapshot pair shared by every job of one threaded batch. Workers
-  // borrow it by raw pointer; the context outlives its borrowers because
-  // it is retired only once the pool's applied seq has passed the batch's
-  // last submitted seq (abandoned jobs advance that seq too, so worker
-  // death cannot leak a context).
-  struct BatchContext {
-    DecisionSnapshots snapshots;
-    std::uint64_t policy_epoch = 0;
-    std::uint64_t binding_epoch = 0;
-  };
+  // The snapshot pair shared by every job of one threaded batch. Workers
+  // borrow it by raw pointer; it outlives its borrowers because it is
+  // retired only once the pool's applied seq has passed the batch's last
+  // submitted seq (abandoned jobs advance that seq too, so worker death
+  // cannot leak a pair).
   struct PendingBatch {
     std::uint64_t end_seq = 0;
-    std::unique_ptr<BatchContext> context;
+    std::unique_ptr<const DecisionSnapshots> snapshots;
   };
 
-  // Threaded submission of `count` items sharing one BatchContext; sets
+  // Threaded submission of `count` items sharing one snapshot pair; sets
   // each item's `accepted`, returns how many were accepted.
   std::size_t submit_threaded_batch(BatchItem* items, std::size_t count);
   // Simulated per-item submission (the pre-batching handle_packet_in body).
   bool submit_simulated_one(Dpid dpid, PacketInMsg msg, DecisionCallback done);
-  // Free batch contexts whose jobs have all applied or been abandoned.
+  // Free batch snapshot pairs whose jobs have all applied or been abandoned.
   void retire_batches();
 
   // Decision-time context + pure decide, in oracle order: sensor first,
@@ -220,10 +217,10 @@ class PolicyCompilationPoint {
   LogNormalParams binding_service_{};
   LogNormalParams policy_service_{};
   LogNormalParams other_service_{};
-  // Live batch contexts in submission order (front retires first).
+  // Live batch snapshot pairs in submission order (front retires first).
   // Declared before pool_ on purpose: members destroy in reverse order, so
-  // the pool joins its workers — the only other readers of a context —
-  // before any context is freed.
+  // the pool joins its workers — the only other readers of a pair — before
+  // any pair is freed.
   std::deque<PendingBatch> batches_;
   PcpShardPool pool_;
   // One decision cache per shard; a flow's hash pins it to one shard, so

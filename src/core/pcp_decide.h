@@ -37,8 +37,9 @@ enum class PcpBackend {
   // times are sampled from the Table II distributions. shards=1 is exactly
   // the paper's single-PCP capacity model.
   kSimulated,
-  // Shards are real std::thread workers measuring wall-clock decision
-  // latency; simulated service times do not apply.
+  // Shards are real std::thread workers: a decision costs exactly its
+  // real CPU time. The Table II service times and zero_latency do not
+  // apply (nothing is drawn, slept or recorded).
   kThreads,
 };
 
@@ -59,8 +60,8 @@ struct PcpConfig {
   std::uint16_t rule_priority = 100;
   std::uint8_t controller_first_table = 1;  // allow -> goto this table
 
-  // Component service times in ms (paper Table II). Set zero_latency for
-  // functional tests where timing is irrelevant.
+  // kSimulated only: component service times in ms (paper Table II). Set
+  // zero_latency for functional tests where timing is irrelevant.
   double binding_query_mean_ms = 2.41;
   double binding_query_sd_ms = 0.97;
   double policy_query_mean_ms = 2.52;
@@ -81,11 +82,6 @@ struct PcpConfig {
   // are sampled regardless, so calibrated latency/throughput shapes
   // (Table I, Fig. 4) are unchanged.
   std::size_t decision_cache_capacity = 8192;
-
-  // kThreads only: pin each shard's worker to core (shard mod
-  // hw_concurrency). Off by default — pinning helps steady-state
-  // throughput benches but hurts oversubscribed CI machines.
-  bool pin_workers = false;
 };
 
 // Outcome of one access-control decision.

@@ -4,18 +4,12 @@
 #include <chrono>
 #include <utility>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace dfi {
 
 PcpShardPool::PcpShardPool(Simulator& sim, const PcpConfig& config)
     : backend_(config.backend),
       shards_(std::max<std::size_t>(1, config.shards)),
-      queue_capacity_(config.queue_capacity),
-      pin_workers_(config.pin_workers) {
+      queue_capacity_(config.queue_capacity) {
   if (backend_ == PcpBackend::kSimulated) {
     stations_.reserve(shards_);
     for (std::size_t i = 0; i < shards_; ++i) {
@@ -47,20 +41,7 @@ PcpShardPool::~PcpShardPool() {
 }
 
 void PcpShardPool::spawn_worker(ThreadShard& shard) {
-  shard.worker = std::thread([this, &shard] {
-#ifdef __linux__
-    if (pin_workers_) {
-      // Optional affinity (PcpConfig.pin_workers): shard i on core
-      // i mod hw_concurrency. Best effort — a failed set is ignored.
-      const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-      cpu_set_t set;
-      CPU_ZERO(&set);
-      CPU_SET(shard.index % cores, &set);
-      pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-    }
-#endif
-    worker_loop(shard);
-  });
+  shard.worker = std::thread([this, &shard] { worker_loop(shard); });
 }
 
 bool PcpShardPool::submit_simulated(std::size_t shard,

@@ -221,7 +221,6 @@ class PcpShardPool {
   const PcpBackend backend_;
   const std::size_t shards_;
   const std::size_t queue_capacity_;
-  const bool pin_workers_;
 
   // kSimulated: one station per shard (unique_ptr: stations are immovable).
   std::vector<std::unique_ptr<ServiceStation>> stations_;

@@ -78,8 +78,8 @@ void DfiProxy::after_proxy_delay(std::function<void()> deliver) {
   double delay_ms = 0.0;
   if (!config_.zero_latency) {
     delay_ms = rng_.lognormal(latency_);
+    latency_ms_.add(delay_ms);
   }
-  latency_ms_.add(delay_ms);
   sim_.schedule_after(milliseconds(delay_ms), std::move(deliver));
 }
 
@@ -173,6 +173,13 @@ void DfiProxy::Session::defer_bytes_to_controller(std::vector<std::uint8_t> fram
 
 void DfiProxy::Session::switch_frame(const FrameView& view) {
   ++proxy_.stats_.from_switch;
+  // A Packet-in run spans only consecutive table-0 Packet-ins: any other
+  // frame, fast-path ones included, submits the run first, so submissions
+  // and deferrals keep the order per-frame delivery would give them.
+  const bool table0_packet_in = view.type() == OfType::kPacketIn &&
+                                view.size() > kPacketInTableOffset &&
+                                view.data()[kPacketInTableOffset] == 0;
+  if (!table0_packet_in) flush_packet_ins();
   fast_path_from_switch(view);
 }
 
@@ -320,14 +327,6 @@ void DfiProxy::Session::flush_packet_ins() {
 }
 
 void DfiProxy::Session::handle_switch_message(OfMessage message) {
-  // Packet-in batching collects *consecutive* table-0 Packet-ins only: any
-  // other message type flushes the pending run first, so the PCP sees
-  // submissions in exact arrival order.
-  if (!pending_pins_.empty()) {
-    const auto* packet_in = std::get_if<PacketInMsg>(&message.payload);
-    if (packet_in == nullptr || packet_in->table_id != 0) flush_packet_ins();
-  }
-
   // Learn identity from the handshake and register this switch with the
   // PCP; the PCP's writes (Table 0 flow mods) go straight to the switch,
   // not through table shifting.
@@ -369,15 +368,17 @@ void DfiProxy::Session::handle_switch_message(OfMessage message) {
         }
         ++proxy_.stats_.degraded_forwarded;
         ++proxy_.stats_.packet_ins_forwarded;
+        flush_packet_ins();  // this delivery is not part of the run
         defer_to_controller(OfMessage{message.xid, *packet_in});
         return;
       }
       ++proxy_.stats_.packet_ins_to_pcp;
-      const std::uint32_t xid = message.xid;
-      // The decision callback delivers the allow verdict; identical for
-      // the per-packet and batched submission paths below.
-      auto on_decision = [this, alive = alive_, xid,
-                          original = *packet_in](const PcpDecision& decision) {
+      // Join the current run; the next other frame or the end of the
+      // chunk flushes it to handle_packet_in_batch.
+      PolicyCompilationPoint::BatchItem item;
+      item.dpid = *dpid_;
+      item.done = [this, alive = alive_, xid = message.xid,
+                   original = *packet_in](const PcpDecision& decision) {
         // Session torn down while the decision was in flight: nothing
         // to deliver and `this` may be gone — the token is the only
         // safe thing to touch.
@@ -391,23 +392,8 @@ void DfiProxy::Session::handle_switch_message(OfMessage message) {
         // table, so table_id 0 is already correct after the allow.
         defer_to_controller(OfMessage{xid, original});
       };
-      if (proxy_.config_.batch_packet_ins) {
-        // Join the current run; from_switch (or the next non-Packet-in
-        // message) flushes it to handle_packet_in_batch.
-        PolicyCompilationPoint::BatchItem item;
-        item.dpid = *dpid_;
-        item.msg = *packet_in;
-        item.done = std::move(on_decision);
-        pending_pins_.push_back(std::move(item));
-        return;
-      }
-      const bool accepted = proxy_.pcp_.handle_packet_in(
-          *dpid_, PacketInMsg(*packet_in), std::move(on_decision));
-      if (!accepted) {
-        // PCP queue full: the packet-in is dropped entirely; the flow
-        // re-enters on endpoint retransmission (paper Section V-A).
-        ++proxy_.stats_.packet_ins_suppressed;
-      }
+      item.msg = std::move(*packet_in);  // `original` above holds the copy
+      pending_pins_.push_back(std::move(item));
       return;
     }
     // Miss in a controller table: the flow already passed DFI's Table 0.

@@ -41,25 +41,20 @@ class HealthMonitor;
 class Journal;
 
 struct ProxyConfig {
-  // Per-message proxy processing time (paper Table II: 0.16 ms ± 0.72 ms).
+  // Per-message proxy processing time (paper Table II: 0.16 ms ± 0.72 ms),
+  // drawn per deferred delivery and recorded in DfiProxy::latency_ms().
+  // zero_latency (functional tests, real-socket deployments) skips both the
+  // draw and the sample.
   double latency_mean_ms = 0.16;
   double latency_sd_ms = 0.72;
   bool zero_latency = false;
 
-  // Batched datapath (DESIGN.md §5). Both default off: batching coalesces
-  // per-delivery latency draws and defers switch-bound writes, so the
-  // paper-calibrated reproduction and every pre-existing test keep exact
-  // per-message behavior unless a caller opts in.
-  //
-  // batch_packet_ins: hand each maximal run of consecutive table-0
-  // Packet-ins in a chunk to the PCP as one handle_packet_in_batch call
-  // (one snapshot capture per run instead of per packet). Runs never span
-  // a chunk or another message type, so submission order is unchanged.
-  bool batch_packet_ins = false;
   // coalesce_egress: append switch-bound messages into one pooled buffer
   // per session and deliver them as a single multi-frame write when the
   // watermark is crossed or DfiProxy::flush_egress() runs (OpenFlow frames
-  // are self-delimiting, so concatenation is valid framing).
+  // are self-delimiting, so concatenation is valid framing). Default off:
+  // it defers switch-bound writes, which the calibrated reproduction and
+  // the per-message tests do not expect.
   bool coalesce_egress = false;
   std::size_t egress_watermark_bytes = 16 * 1024;
 };
@@ -166,7 +161,8 @@ class DfiProxy {
     // The single deferred-delivery path every switch-bound (pooled) frame
     // or coalesced buffer funnels through.
     void defer_frame_to_switch(std::vector<std::uint8_t> frame);
-    // Packet-in batching: submit the pending run to the PCP as one batch.
+    // Packet-in batching (DESIGN.md §5): submit the pending run of table-0
+    // Packet-ins to the PCP as one handle_packet_in_batch call.
     void flush_packet_ins();
 
     DfiProxy& proxy_;
@@ -182,9 +178,10 @@ class DfiProxy {
     std::vector<std::uint8_t> pending_egress_;
     bool pending_egress_active_ = false;
     std::vector<std::uint8_t> encode_scratch_;
-    // Packet-in batching state (batch_packet_ins only): the current run of
-    // consecutive table-0 Packet-ins, flushed before any other message and
-    // at the end of every chunk — never carried across either boundary.
+    // The current run of consecutive table-0 Packet-ins, flushed before any
+    // other frame (fast-path frames included) and at the end of every
+    // chunk — never carried across either boundary, so the PCP sees
+    // submissions in the order a per-frame delivery would produce.
     std::vector<PolicyCompilationPoint::BatchItem> pending_pins_;
     // Liveness token: deferred deliveries and in-flight PCP decision
     // callbacks capture this instead of trusting `this` to outlive them.

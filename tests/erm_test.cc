@@ -2,6 +2,8 @@
 // enrichment (late binding), and spoof validation.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "bus/message_bus.h"
 #include "core/entity_resolution.h"
 #include "core/persistence.h"
@@ -323,6 +325,11 @@ TEST_F(ErmTest, InternedIdsStableAcrossEpochs) {
   EXPECT_EQ(erm_.interner().users().view(alice), "alice");
   EXPECT_EQ(erm_.interner().hosts().view(h1), "h1");
 }
+
+// A snapshot is only ever published by the ERM: a default constructor
+// would have to build throwaway tables and an interner, and the threaded
+// Packet-in path must never pay for that.
+static_assert(!std::is_default_constructible_v<ErmSnapshot>);
 
 TEST_F(ErmTest, HeldSnapshotImmutableUnderMutation) {
   erm_.apply(ip_mac(Ipv4Address(10, 0, 0, 5), MacAddress::from_u64(5)));

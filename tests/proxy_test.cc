@@ -2,6 +2,8 @@
 // Table-0 concealment, and packet-in interposition (paper Section IV-B).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "bus/message_bus.h"
 #include "core/proxy.h"
 #include "sim/simulator.h"
@@ -460,6 +462,188 @@ TEST_F(ProxyTest, SteadyStateForwardingReusesPooledBuffers) {
   EXPECT_EQ(stats.allocations, warm.allocations);
   EXPECT_EQ(stats.reuses, warm.reuses + 200);
   EXPECT_GT(proxy_.stats().pool_hit_rate(), 0.5);
+}
+
+// ------------------------------------------- mixed chunks vs per-frame
+
+// Packet-ins are always batched: a chunk's maximal run of table-0
+// Packet-ins goes to the PCP as one burst, and every other frame —
+// fast-path pass-through and patched frames included — submits the pending
+// run before it is handled. Feeding a mixed chunk must therefore give the
+// same egress, byte for byte and in the same order, as feeding its frames
+// one chunk each.
+//
+// The controller side reacts to the first Echo it receives by allowing
+// port 81. With zero latency the Echo's delivery ties with the decision of
+// the Packet-in before it, so the verdict depends on which of the two the
+// simulator runs first: a run that let the Echo's deferral overtake the
+// pending Packet-in's submission would allow a flow per-frame delivery
+// denies. With latency on, any reordering would shift the seeded draws.
+using Frames = std::vector<std::vector<std::uint8_t>>;
+
+// The frames as delivered: each its own chunk, or all in one.
+Frames as_chunks(const Frames& frames, bool one_chunk) {
+  if (!one_chunk) return frames;
+  Frames chunk(1);
+  for (const auto& frame : frames) chunk[0].insert(chunk[0].end(), frame.begin(), frame.end());
+  return chunk;
+}
+
+PolicyRule allow_port(std::uint16_t port) {
+  PolicyRule rule;
+  rule.action = PolicyAction::kAllow;
+  rule.destination.l4_port = port;
+  return rule;
+}
+
+class MixedChunkRig {
+ public:
+  MixedChunkRig(PcpBackend backend, bool zero_latency)
+      : erm_(bus_),
+        manager_(bus_),
+        pcp_(sim_, bus_, erm_, manager_,
+             PcpConfig{.shards = 2, .backend = backend, .zero_latency = zero_latency},
+             Rng(1)),
+        proxy_(sim_, pcp_, ProxyConfig{.zero_latency = zero_latency}, Rng(2)),
+        session(proxy_.create_session(
+            [this](const std::vector<std::uint8_t>& bytes) { to_switch.push_back(bytes); },
+            [this](const std::vector<std::uint8_t>& bytes) { on_controller(bytes); })) {
+    manager_.insert(allow_port(80), PdpPriority{5}, "t");
+    FeaturesReplyMsg features;
+    features.datapath_id = Dpid{9};
+    features.n_tables = 4;
+    session.from_switch(encode(OfMessage{1, features}));
+    settle();
+  }
+
+  void settle() {
+    sim_.run();
+    pcp_.wait_idle();  // threaded: apply completions, deferring their egress
+    sim_.run();
+  }
+
+  const ProxyStats& stats() const { return proxy_.stats(); }
+
+ private:
+  void on_controller(const std::vector<std::uint8_t>& bytes) {
+    to_controller.push_back(bytes);
+    if (!reacted_ && FrameView(bytes.data(), bytes.size()).type() == OfType::kEchoRequest) {
+      reacted_ = true;
+      manager_.insert(allow_port(81), PdpPriority{6}, "controller");
+    }
+  }
+
+  Simulator sim_;
+  MessageBus bus_;
+  EntityResolutionManager erm_;
+  PolicyManager manager_;
+  PolicyCompilationPoint pcp_;
+  DfiProxy proxy_;
+  bool reacted_ = false;
+
+ public:
+  DfiProxy::Session& session;
+  Frames to_switch;
+  Frames to_controller;
+};
+
+std::vector<std::uint8_t> table0_packet_in(std::uint32_t xid, std::uint16_t src_port,
+                                           std::uint16_t dst_port) {
+  PacketInMsg msg;
+  msg.table_id = 0;
+  msg.in_port = PortNo{3};
+  msg.data = make_tcp_packet(MacAddress::from_u64(1), MacAddress::from_u64(2),
+                             Ipv4Address(10, 0, 0, 1), Ipv4Address(10, 0, 0, 2),
+                             src_port, dst_port)
+                 .serialize();
+  return encode(OfMessage{xid, msg});
+}
+
+Frames mixed_switch_frames() {
+  PacketInMsg later_table;
+  later_table.table_id = 2;
+  later_table.in_port = PortNo{1};
+  later_table.data = {1, 2, 3};
+  FlowRemovedMsg dfi_expiry;
+  dfi_expiry.table_id = 0;
+  FlowRemovedMsg controller_expiry;
+  controller_expiry.table_id = 2;
+  MultipartReplyMsg stats;
+  FlowStatsEntry dfi_row;
+  dfi_row.table_id = 0;
+  FlowStatsEntry controller_row;
+  controller_row.table_id = 1;
+  stats.flow_stats = {dfi_row, controller_row};
+  return {
+      table0_packet_in(20, 1000, 80),                    // run of two: allow
+      table0_packet_in(21, 1001, 81),                    //   and deny
+      encode(OfMessage{22, EchoRequestMsg{{0xaa}}}),     // pass-through
+      table0_packet_in(23, 1002, 80),                    // run of one
+      encode(OfMessage{24, later_table}),                // patched
+      table0_packet_in(25, 1003, 80),
+      encode(OfMessage{26, dfi_expiry}),                 // fast-path drop
+      table0_packet_in(27, 1004, 82),
+      encode(OfMessage{28, controller_expiry}),          // patched
+      table0_packet_in(29, 1005, 80),
+      encode(OfMessage{30, stats}),                      // decoded
+      table0_packet_in(31, 1006, 80),                    // run ends the chunk
+      table0_packet_in(32, 1007, 83),
+  };
+}
+
+Frames mixed_controller_frames() {
+  FlowModMsg mod;
+  mod.table_id = 1;
+  mod.match.in_port = PortNo{1};
+  mod.instructions = Instructions::output(PortNo{2});
+  FlowModMsg delete_all;
+  delete_all.command = FlowModCommand::kDelete;
+  delete_all.table_id = 0xff;
+  FlowModMsg out_of_range;
+  out_of_range.table_id = 3;
+  MultipartRequestMsg request;
+  request.flow_request.table_id = 1;
+  return {
+      encode(OfMessage{40, EchoRequestMsg{{0xbb}}}),  // pass-through
+      encode(OfMessage{41, mod}),                     // patched
+      encode(OfMessage{42, delete_all}),              // decoded, expanded
+      encode(OfMessage{43, out_of_range}),            // decoded, error
+      encode(OfMessage{44, request}),                 // patched
+  };
+}
+
+TEST(ProxyBatching, MixedChunkMatchesPerFrameDelivery) {
+  for (const PcpBackend backend : {PcpBackend::kSimulated, PcpBackend::kThreads}) {
+    for (const bool zero_latency : {true, false}) {
+      SCOPED_TRACE(std::string(backend == PcpBackend::kThreads ? "threads" : "simulated") +
+                   (zero_latency ? ", zero latency" : ", calibrated latency"));
+      MixedChunkRig per_frame(backend, zero_latency);
+      MixedChunkRig chunked(backend, zero_latency);
+      for (MixedChunkRig* rig : {&per_frame, &chunked}) {
+        const bool one_chunk = rig == &chunked;
+        for (const auto& chunk : as_chunks(mixed_switch_frames(), one_chunk)) {
+          rig->session.from_switch(chunk);
+        }
+        for (const auto& chunk : as_chunks(mixed_controller_frames(), one_chunk)) {
+          rig->session.from_controller(chunk);
+        }
+        for (const auto& chunk : as_chunks(mixed_switch_frames(), one_chunk)) {
+          rig->session.from_switch(chunk);  // the same flows, after the policy change
+        }
+        rig->settle();
+      }
+      EXPECT_EQ(chunked.to_switch, per_frame.to_switch);
+      EXPECT_EQ(chunked.to_controller, per_frame.to_controller);
+      EXPECT_EQ(chunked.stats().packet_ins_forwarded, per_frame.stats().packet_ins_forwarded);
+      // Both directions carried real traffic: PCP installs and controller
+      // writes toward the switch, verdicts and relays toward the controller.
+      EXPECT_EQ(per_frame.stats().packet_ins_to_pcp, 16u);
+      EXPECT_GE(per_frame.stats().packet_ins_forwarded, 10u);
+      EXPECT_GE(per_frame.to_switch.size(), 16u + 6u);
+      EXPECT_EQ(chunked.stats().frames_fast_path, per_frame.stats().frames_fast_path);
+      EXPECT_EQ(chunked.stats().frames_patched, per_frame.stats().frames_patched);
+    }
+  }
 }
 
 }  // namespace

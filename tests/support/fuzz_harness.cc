@@ -222,10 +222,9 @@ class FuzzWorld {
     config.latency_mean_ms = 0.0;
     config.latency_sd_ms = 0.0;
     config.zero_latency = true;
-    // Batched schedules run Packet-in batching and egress coalescing with a
-    // tiny watermark, so mid-step watermark flushes race severs and policy
-    // churn instead of everything draining at the step boundary.
-    config.batch_packet_ins = options.batched_datapath;
+    // Batched schedules run egress coalescing with a tiny watermark, so
+    // mid-step watermark flushes race severs and policy churn instead of
+    // everything draining at the step boundary.
     config.coalesce_egress = options.batched_datapath;
     config.egress_watermark_bytes = 512;
     return config;

@@ -51,13 +51,13 @@ struct FuzzOptions {
   // the cookie invariants (I2/I3) still apply to every install.
   bool wildcard_caching = false;
   std::size_t decision_cache_capacity = 64;
-  // Exercise the batched datapath (DESIGN.md §5): the proxy batches
-  // consecutive table-0 Packet-ins into handle_packet_in_batch calls and
-  // coalesces switch-bound egress into pooled multi-frame writes; the
-  // schedule injects multi-Packet-in chunks so real batches form, and (with
-  // worker_faults) the kill probe gains kKillAfterDecide — a crash in the
-  // completion-publish window, mid-batch. Default off: every pre-existing
-  // variant keeps its exact per-message behavior and byte-identical trace.
+  // Exercise the batched datapath (DESIGN.md §5) harder. The proxy always
+  // batches consecutive table-0 Packet-ins; this flag adds what real
+  // batches need to form and race: the schedule injects multi-Packet-in
+  // chunks, the proxy coalesces switch-bound egress into pooled
+  // multi-frame writes, and (with worker_faults) the kill probe gains
+  // kKillAfterDecide — a crash in the completion-publish window, mid-batch.
+  // Default off: every pre-existing variant keeps its byte-identical trace.
   bool batched_datapath = false;
   // Exercise incremental snapshot publication (DESIGN.md §8): the schedule
   // captures ErmSnapshots between binding churn and policy revokes, keeps a

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo check, split into stages so CI can run them as separate jobs:
 #
-#   tier1  configure + build + full ctest suite (the 400+ tier-1 tests),
+#   tier1  configure + build + full ctest suite (the 590 tier-1 tests),
 #          then the proxy-datapath, scale-out, entity-plane and socket-
 #          datapath benches in smoke mode, each gated against its committed
 #          baseline under bench/baselines/
@@ -29,9 +29,14 @@
 #          the failover bench smoke. Full campaign on the plain build,
 #          bounded campaigns under ASan+UBSan and TSan
 #          (DFI_FUZZ_SCHEDULES / DFI_FUZZ_SEED apply here too).
+#   perfbench  the end-to-end benchmark's self-test (perfbench/selftest.py):
+#          builds perfbench/ against src/ (Release, in .bench_build/) and
+#          runs every workload briefly, timed and traced, with all of its
+#          byte-level correctness checks — so a product API change that
+#          breaks the benchmark build or its checks fails here.
 #
 # Usage: tools/check.sh [--no-sanitize] [stage...]
-#   no stages        -> all of tier1 asan tsan fuzz recovery replication
+#   no stages        -> all of tier1 asan tsan fuzz recovery replication perfbench
 #   --no-sanitize    -> tier1 only (kept for compatibility)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -42,12 +47,12 @@ STAGES=()
 for arg in "$@"; do
   case "$arg" in
     --no-sanitize) STAGES=(tier1) ;;
-    tier1|asan|tsan|fuzz|recovery|replication) STAGES+=("$arg") ;;
-    *) echo "unknown stage: $arg (want tier1, asan, tsan, fuzz, recovery, replication)" >&2; exit 2 ;;
+    tier1|asan|tsan|fuzz|recovery|replication|perfbench) STAGES+=("$arg") ;;
+    *) echo "unknown stage: $arg (want tier1, asan, tsan, fuzz, recovery, replication, perfbench)" >&2; exit 2 ;;
   esac
 done
 if [[ ${#STAGES[@]} -eq 0 ]]; then
-  STAGES=(tier1 asan tsan fuzz recovery replication)
+  STAGES=(tier1 asan tsan fuzz recovery replication perfbench)
 fi
 
 want() { local s; for s in "${STAGES[@]}"; do [[ "$s" == "$1" ]] && return 0; done; return 1; }
@@ -220,6 +225,11 @@ if want replication; then
   DFI_FUZZ_SCHEDULES="${DFI_REPLICATION_TSAN_SCHEDULES:-150}" \
     ./build-tsan/tests/crash_recovery_fuzz_test \
     --gtest_filter='CrashRecoveryFuzz.Replicated*'
+fi
+
+if want perfbench; then
+  echo "== perfbench: end-to-end benchmark self-test =="
+  python3 perfbench/selftest.py
 fi
 
 echo "== all requested stages passed =="
