@@ -12,13 +12,19 @@
 //   * memory             - VmRSS growth per binding during the load.
 //
 // The rule population is held constant across points so the sweep isolates
-// entity-count scaling from rule-count scaling.
+// entity-count scaling from rule-count scaling. A second sweep, over rule
+// counts (1k, 10k, 100k), measures policy publication: one insert +
+// snapshot_view(), then one revoke + snapshot_view(), repeatedly — what a
+// PDP rule change between two Packet-in bursts costs the control thread —
+// as publishes/s and heap allocations per publish.
 //
 // Gates (the acceptance criteria, enforced in-process):
 //   * decisions/s at the largest point >= half the smallest point (latency
 //     stays within 2x from 10k to 1M entities);
 //   * publishes/s at the largest point >= a tenth of the smallest point
 //     (publication is O(changed), not O(total));
+//   * policy publishes/s at 100k rules >= a tenth of the rate at 1k rules
+//     (the copy-on-write policy index publishes in O(changed));
 // plus committed per-point floors via --check-baseline.
 //
 // Usage:
@@ -34,6 +40,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -45,6 +52,28 @@
 #include "core/policy_manager.h"
 #include "net/packet.h"
 #include "testbed/scale_generator.h"
+
+namespace {
+
+// Counting global operator new (this binary is single-threaded): policy
+// publication reports its heap allocations per publish.
+std::uint64_t g_allocations = 0;
+
+void* counted_alloc(std::size_t size) {
+  ++g_allocations;
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace dfi {
 namespace {
@@ -205,8 +234,61 @@ ScalePoint run_point(std::uint32_t hosts, std::uint32_t rules, bool smoke) {
   return point;
 }
 
+struct PolicyPoint {
+  std::string name;
+  std::uint32_t rules = 0;
+  double publish_per_sec = 0;
+  double allocs_per_publish = 0;
+};
+
+// Policy publication at `rules` rules: the base population of the entity
+// sweep (make_rules over 8 priorities), then cycles of insert +
+// snapshot_view() and revoke + snapshot_view(). The churned rule repeats
+// the last source-user rule of the lowest priority with a distinct port:
+// it files under a populated posting list and its consistency sweep has no
+// lower bucket to visit, so the loop times publication, not the sweep.
+PolicyPoint run_policy_point(std::uint32_t rules, bool smoke) {
+  ScaleConfig config;
+  config.hosts = 25000;
+  const ScaleGenerator gen(config);
+  MessageBus bus;
+  PolicyManager manager(bus);
+  const std::vector<PolicyRule> rule_pop = gen.make_rules(rules);
+  constexpr std::uint32_t kPriorityLevels = 8;
+  for (std::uint32_t i = 0; i < rules; ++i) {
+    manager.insert(rule_pop[i], PdpPriority{kPriorityLevels - (i * kPriorityLevels) / rules},
+                   "scale-bench");
+  }
+  PolicyRule probe = rule_pop[rules - 5];  // make_rules kind 3: source user
+  probe.destination.l4_port = 9;
+  if (!probe.source.user) std::abort();
+  manager.snapshot_view();
+
+  const std::size_t cycles = smoke ? 2000 : 10000;
+  const std::uint64_t allocs_before = g_allocations;
+  const Clock::time_point start = Clock::now();
+  for (std::size_t i = 0; i < cycles; ++i) {
+    const PolicyRuleId id = manager.insert(probe, PdpPriority{1}, "scale-bench-churn");
+    if (manager.snapshot_view()->epoch() == 0) std::abort();
+    if (!manager.revoke(id)) std::abort();
+    if (manager.snapshot_view()->epoch() == 0) std::abort();
+  }
+  const double seconds = seconds_since(start);
+  PolicyPoint point;
+  point.name = "r" + std::to_string(rules);
+  point.rules = rules;
+  point.publish_per_sec = static_cast<double>(2 * cycles) / seconds;
+  point.allocs_per_publish =
+      static_cast<double>(g_allocations - allocs_before) / static_cast<double>(2 * cycles);
+  std::printf("%-8s %9u rules  %8.0f policy publishes/s (%6.2f us)  %5.1f allocations/publish\n",
+              point.name.c_str(), rules, point.publish_per_sec, 1e6 / point.publish_per_sec,
+              point.allocs_per_publish);
+  return point;
+}
+
 void write_json(const char* path, const std::vector<ScalePoint>& points,
-                double decision_ratio, double publish_ratio) {
+                const std::vector<PolicyPoint>& policy_points, double decision_ratio,
+                double publish_ratio, double policy_publish_ratio) {
   std::ofstream out(path);
   out << "{\n  \"bench\": \"erm_scale\",\n  \"points\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -220,8 +302,17 @@ void write_json(const char* path, const std::vector<ScalePoint>& points,
         << ", \"cow_page_copies\": " << p.cow_page_copies << "}"
         << (i + 1 < points.size() ? "," : "") << "\n";
   }
+  out << "  ],\n  \"policy_points\": [\n";
+  for (std::size_t i = 0; i < policy_points.size(); ++i) {
+    const PolicyPoint& p = policy_points[i];
+    out << "    {\"point\": \"" << p.name << "\", \"rules\": " << p.rules
+        << ", \"policy_publish_per_sec\": " << p.publish_per_sec
+        << ", \"allocs_per_publish\": " << p.allocs_per_publish << "}"
+        << (i + 1 < policy_points.size() ? "," : "") << "\n";
+  }
   out << "  ],\n  \"gates\": {\"decision_ratio\": " << decision_ratio
-      << ", \"publish_ratio\": " << publish_ratio << "}\n}\n";
+      << ", \"publish_ratio\": " << publish_ratio
+      << ", \"policy_publish_ratio\": " << policy_publish_ratio << "}\n}\n";
 }
 
 // Minimal scan: the numeric value of `key` inside the baseline object whose
@@ -239,7 +330,8 @@ bool baseline_value(const std::string& json, const std::string& point,
   return true;
 }
 
-int check_baseline(const char* path, const std::vector<ScalePoint>& points) {
+int check_baseline(const char* path, const std::vector<ScalePoint>& points,
+                   const std::vector<PolicyPoint>& policy_points) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "FAIL: cannot read baseline %s\n", path);
@@ -283,6 +375,20 @@ int check_baseline(const char* path, const std::vector<ScalePoint>& points) {
                   p.rss_per_binding_bytes);
     }
   }
+  for (const PolicyPoint& p : policy_points) {
+    double floor = 0;
+    if (!baseline_value(json, p.name, "policy_publish_per_sec_floor", &floor)) {
+      std::fprintf(stderr, "FAIL: baseline %s lacks point \"%s\"\n", path, p.name.c_str());
+      ++failures;
+    } else if (p.publish_per_sec < 0.9 * floor) {
+      std::fprintf(stderr, "FAIL: %s %.0f policy publishes/s under floor %.0f\n",
+                   p.name.c_str(), p.publish_per_sec, floor);
+      ++failures;
+    } else {
+      std::printf("baseline ok: %-8s %8.0f policy publishes/s\n", p.name.c_str(),
+                  p.publish_per_sec);
+    }
+  }
   return failures == 0 ? 0 : 1;
 }
 
@@ -308,7 +414,17 @@ int run(bool smoke, const char* baseline_path) {
       large.decisions_per_sec > 0 ? small.decisions_per_sec / large.decisions_per_sec : 1e9;
   const double publish_ratio =
       large.publish_per_sec > 0 ? small.publish_per_sec / large.publish_per_sec : 1e9;
-  write_json("BENCH_erm_scale.json", points, decision_ratio, publish_ratio);
+
+  std::vector<PolicyPoint> policy_points;
+  for (const std::uint32_t r : {1000u, 10000u, 100000u}) {
+    policy_points.push_back(run_policy_point(r, smoke));
+  }
+  const PolicyPoint& few = policy_points.front();
+  const PolicyPoint& many = policy_points.back();
+  const double policy_publish_ratio =
+      many.publish_per_sec > 0 ? few.publish_per_sec / many.publish_per_sec : 1e9;
+  write_json("BENCH_erm_scale.json", points, policy_points, decision_ratio, publish_ratio,
+             policy_publish_ratio);
 
   int failures = 0;
   if (points.size() > 1) {
@@ -331,7 +447,15 @@ int run(bool smoke, const char* baseline_path) {
                   decision_ratio, publish_ratio);
     }
   }
-  if (baseline_path != nullptr) failures += check_baseline(baseline_path, points);
+  if (policy_publish_ratio > 10.0) {
+    std::fprintf(stderr,
+                 "FAIL: policy publish rate degraded %.2fx from %s to %s (gate: 10x)\n",
+                 policy_publish_ratio, few.name.c_str(), many.name.c_str());
+    ++failures;
+  } else {
+    std::printf("gates ok: policy publish ratio %.2fx (<=10x)\n", policy_publish_ratio);
+  }
+  if (baseline_path != nullptr) failures += check_baseline(baseline_path, points, policy_points);
   return failures == 0 ? 0 : 1;
 }
 

@@ -19,6 +19,7 @@
 #include "core/pcp.h"
 #include "core/policy_manager.h"
 #include "sim/simulator.h"
+#include "support/reference_model.h"
 
 namespace dfi {
 namespace {
@@ -95,9 +96,10 @@ void BM_PolicyQueryLinear(benchmark::State& state) {
   const Pools pools(static_cast<std::size_t>(state.range(0)));
   fill_rules(manager, static_cast<std::size_t>(state.range(0)), pools, rng);
   const auto flows = make_flows(256, pools, rng);
+  const std::vector<StoredPolicyRule> rules = manager.rules();
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(manager.query_linear(flows[i++ % flows.size()]));
+    benchmark::DoNotOptimize(test::query_linear(rules, flows[i++ % flows.size()]));
   }
 }
 BENCHMARK(BM_PolicyQueryLinear)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
@@ -164,8 +166,9 @@ ScanPoint measure_scan_point(std::size_t rule_count) {
   const auto flows = make_flows(512, pools, rng);
   ScanPoint point;
   point.rules = rule_count;
+  const std::vector<StoredPolicyRule> rules = manager.rules();
   point.linear_ns = measure_ns_per_query(
-      flows, [&](const FlowView& flow) { return manager.query_linear(flow); });
+      flows, [&](const FlowView& flow) { return test::query_linear(rules, flow); });
   point.indexed_ns = measure_ns_per_query(
       flows, [&](const FlowView& flow) { return manager.query(flow); });
   point.speedup = point.indexed_ns > 0 ? point.linear_ns / point.indexed_ns : 0.0;

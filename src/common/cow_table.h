@@ -21,6 +21,10 @@
 // Single-writer contract (same as common/snapshot.h): all mutation and
 // freezing happen on the control thread; reader threads only ever touch
 // frozen copies obtained through a published snapshot.
+//
+// `cow_writable` is the scheme's one primitive, shared by CowTable and the
+// policy index (core/policy_index.h): any node type with a `tag` member can
+// be path-copied with it.
 #pragma once
 
 #include <array>
@@ -29,6 +33,18 @@
 #include <vector>
 
 namespace dfi {
+
+// Writer only: `node` made safe to mutate at `generation`. A node whose tag
+// lags may be shared with a frozen version and is cloned first; a missing
+// node is created. Either way the result carries the current tag, so later
+// writes before the next freeze() go in place.
+template <typename Node>
+Node& cow_writable(std::shared_ptr<Node>& node, std::uint64_t generation) {
+  if (node != nullptr && node->tag == generation) return *node;
+  node = node == nullptr ? std::make_shared<Node>() : std::make_shared<Node>(*node);
+  node->tag = generation;
+  return *node;
+}
 
 struct CowTableStats {
   std::uint64_t page_copies = 0;   // pages cloned because a snapshot shares them
@@ -61,22 +77,13 @@ class CowTable {
 
   // Writer only: writable slot for `id`, path-copying shared structure.
   V& mutate(std::uint32_t id) {
-    if (root_->tag != generation_) {
-      root_ = std::make_shared<Root>(Root{generation_, root_->pages});
-      ++stats_.root_copies;
-    }
+    if (root_->tag != generation_) ++stats_.root_copies;
+    Root& root = cow_writable(root_, generation_);
     const std::uint32_t page_index = id >> kPageShift;
-    if (page_index >= root_->pages.size()) root_->pages.resize(page_index + 1);
-    std::shared_ptr<Page>& page = root_->pages[page_index];
-    if (page == nullptr) {
-      page = std::make_shared<Page>();
-      page->tag = generation_;
-    } else if (page->tag != generation_) {
-      page = std::make_shared<Page>(*page);
-      page->tag = generation_;
-      ++stats_.page_copies;
-    }
-    return page->slots[id & kPageMask];
+    if (page_index >= root.pages.size()) root.pages.resize(page_index + 1);
+    std::shared_ptr<Page>& page = root.pages[page_index];
+    if (page != nullptr && page->tag != generation_) ++stats_.page_copies;
+    return cow_writable(page, generation_).slots[id & kPageMask];
   }
 
   std::size_t page_count() const { return root_->pages.size(); }

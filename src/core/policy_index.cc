@@ -1,114 +1,236 @@
 #include "core/policy_index.h"
 
 #include <algorithm>
+#include <array>
+#include <optional>
+#include <string_view>
+
+#include "common/cow_table.h"
+#include "common/hash.h"
 
 namespace dfi {
-namespace {
+namespace policy_index_detail {
 
-// Probe one posting map with one observed key (already packed to the map's
-// integer key type by the caller).
-template <typename Map, typename Fn>
-void probe_key(const Map& map, typename Map::key_type key,
-               const std::vector<const StoredPolicyRule*>& slots, Fn&& fn) {
-  const auto it = map.find(key);
-  if (it == map.end()) return;
-  for (const std::uint32_t ref : it->second) fn(slots[ref]);
+// Pages per map: a path copy clones one page, so this divides the copied
+// entries; the map node itself copies this many page pointers.
+constexpr unsigned kPageBits = 6;
+constexpr std::size_t kPages = std::size_t{1} << kPageBits;
+
+// Posting maps own their rules; the id map points into them.
+using RulePtr = std::shared_ptr<const StoredPolicyRule>;
+using RawRule = const StoredPolicyRule*;
+
+template <typename Ref>
+struct Posting {
+  std::uint64_t key;
+  Ref rule;
+};
+
+template <typename Ref>
+struct PostingPage {
+  std::uint64_t tag = 0;
+  std::vector<Posting<Ref>> entries;  // sorted by (key, rule id)
+
+  PostingPage() = default;
+  // A clone keeps room for one more entry, so the write that forced the
+  // copy never reallocates: a path copy is a fixed number of allocations.
+  PostingPage(const PostingPage& other) : tag(other.tag) {
+    entries.reserve(other.entries.size() + 1);
+    entries.insert(entries.end(), other.entries.begin(), other.entries.end());
+  }
+};
+
+// Multimap from a 64-bit key to rules, split into kPages pages by key hash.
+template <typename Ref>
+struct PostingMap {
+  std::uint64_t tag = 0;
+  std::size_t size = 0;
+  std::array<std::shared_ptr<PostingPage<Ref>>, kPages> pages;
+};
+
+std::size_t page_of(std::uint64_t key) { return mix64(key) >> (64 - kPageBits); }
+
+template <typename Ref, typename Fn>
+void probe(const PostingMap<Ref>* map, std::uint64_t key, Fn&& fn) {
+  if (map == nullptr) return;
+  const PostingPage<Ref>* page = map->pages[page_of(key)].get();
+  if (page == nullptr) return;
+  auto it = std::lower_bound(
+      page->entries.begin(), page->entries.end(), key,
+      [](const Posting<Ref>& posting, std::uint64_t k) { return posting.key < k; });
+  for (; it != page->entries.end() && it->key == key; ++it) fn(std::to_address(it->rule));
 }
 
-template <typename Map, typename Fn>
-void probe_all(const Map& map, const std::vector<const StoredPolicyRule*>& slots,
-               Fn&& fn) {
-  for (const auto& [key, list] : map) {
-    for (const std::uint32_t ref : list) fn(slots[ref]);
+template <typename Ref, typename Fn>
+void for_all(const PostingMap<Ref>* map, Fn&& fn) {
+  if (map == nullptr) return;
+  for (const auto& page : map->pages) {
+    if (page == nullptr) continue;
+    for (const Posting<Ref>& posting : page->entries) fn(std::to_address(posting.rule));
   }
 }
 
-// Pack a concrete spec value to its posting-map key.
-std::uint32_t key_of(Ipv4Address ip) { return ip.value(); }
-std::uint64_t key_of(MacAddress mac) { return mac.to_u64(); }
-std::uint64_t key_of(Dpid dpid) { return dpid.value; }
+template <typename Ref>
+void posting_insert(std::shared_ptr<PostingMap<Ref>>& map_ptr, std::uint64_t key, Ref rule,
+                    std::uint64_t generation) {
+  PostingMap<Ref>& map = cow_writable(map_ptr, generation);
+  std::vector<Posting<Ref>>& entries = cow_writable(map.pages[page_of(key)], generation).entries;
+  const PolicyRuleId id = rule->id;
+  const auto at = std::upper_bound(
+      entries.begin(), entries.end(), key, [&](std::uint64_t k, const Posting<Ref>& posting) {
+        return k < posting.key || (k == posting.key && id < posting.rule->id);
+      });
+  entries.insert(at, Posting<Ref>{key, std::move(rule)});
+  ++map.size;
+}
+
+// `id` must be filed under `key`. A map or page the erase empties is
+// dropped instead of copied.
+template <typename Ref>
+void posting_erase(std::shared_ptr<PostingMap<Ref>>& map_ptr, std::uint64_t key, PolicyRuleId id,
+                   std::uint64_t generation) {
+  if (map_ptr->size == 1) {
+    map_ptr.reset();
+    return;
+  }
+  PostingMap<Ref>& map = cow_writable(map_ptr, generation);
+  --map.size;
+  std::shared_ptr<PostingPage<Ref>>& page = map.pages[page_of(key)];
+  if (page->entries.size() == 1) {
+    page.reset();
+    return;
+  }
+  std::vector<Posting<Ref>>& entries = cow_writable(page, generation).entries;
+  entries.erase(std::find_if(entries.begin(), entries.end(), [&](const Posting<Ref>& posting) {
+    return posting.key == key && posting.rule->id == id;
+  }));
+}
+
+// Pivot fields, in pivot-selection order; kWildcard holds rules with none.
+enum Field : std::size_t {
+  kSrcIp, kDstIp, kSrcMac, kDstMac, kSrcUser, kDstUser, kSrcHost, kDstHost,
+  kSrcDpid, kDstDpid, kWildcard, kFields
+};
+
+// Every wildcard-list entry has this key, so the list is one page.
+constexpr std::uint64_t kWildcardKey = 0;
+
+std::uint64_t name_key(const std::string& name) {
+  return std::hash<std::string_view>{}(name);
+}
+
+// Each concrete pivot-field value of a rule spec, as its posting key.
+std::array<std::optional<std::uint64_t>, kWildcard> spec_keys(const PolicyRule& rule) {
+  const EndpointSpec& src = rule.source;
+  const EndpointSpec& dst = rule.destination;
+  std::array<std::optional<std::uint64_t>, kWildcard> keys;
+  if (src.ip) keys[kSrcIp] = src.ip->value();
+  if (dst.ip) keys[kDstIp] = dst.ip->value();
+  if (src.mac) keys[kSrcMac] = src.mac->to_u64();
+  if (dst.mac) keys[kDstMac] = dst.mac->to_u64();
+  if (src.user) keys[kSrcUser] = name_key(src.user->value);
+  if (dst.user) keys[kDstUser] = name_key(dst.user->value);
+  if (src.host) keys[kSrcHost] = name_key(src.host->value);
+  if (dst.host) keys[kDstHost] = name_key(dst.host->value);
+  if (src.dpid) keys[kSrcDpid] = src.dpid->value;
+  if (dst.dpid) keys[kDstDpid] = dst.dpid->value;
+  return keys;
+}
+
+struct Pivot {
+  std::size_t field = kWildcard;
+  std::uint64_t key = kWildcardKey;
+};
+
+// The posting list a rule is filed under: its first concrete pivot field.
+Pivot pivot_of(const PolicyRule& rule) {
+  const auto keys = spec_keys(rule);
+  for (std::size_t field = 0; field < keys.size(); ++field) {
+    if (keys[field]) return Pivot{field, *keys[field]};
+  }
+  return Pivot{};
+}
+
+struct Bucket {
+  std::uint64_t tag = 0;
+  std::uint32_t priority = 0;
+  std::size_t size = 0;
+  std::array<std::shared_ptr<PostingMap<RulePtr>>, kFields> fields;
+};
+
+// The flow's user/host pivot keys, hashed once per query rather than once
+// per bucket. Only a flow naming more than kInline names allocates.
+class NameKeys {
+ public:
+  enum List : std::size_t { kSrcUsers, kDstUsers, kSrcHosts, kDstHosts };
+
+  explicit NameKeys(const FlowView& flow) {
+    add(flow.src.usernames, kSrcUsers);
+    add(flow.dst.usernames, kDstUsers);
+    add(flow.src.hostnames, kSrcHosts);
+    add(flow.dst.hostnames, kDstHosts);
+  }
+
+  template <typename Fn>
+  void for_each(List list, Fn&& fn) const {
+    const std::uint64_t* keys = spill_.empty() ? inline_.data() : spill_.data();
+    for (std::size_t i = list == 0 ? 0 : end_[list - 1]; i < end_[list]; ++i) fn(keys[i]);
+  }
+
+ private:
+  static constexpr std::size_t kInline = 16;
+
+  template <typename Names>
+  void add(const Names& names, List list) {
+    for (const auto& name : names) {
+      if (count_ == kInline && spill_.empty()) spill_.assign(inline_.begin(), inline_.end());
+      const std::uint64_t key = name_key(name.value);
+      if (spill_.empty()) {
+        inline_[count_] = key;
+      } else {
+        spill_.push_back(key);
+      }
+      ++count_;
+    }
+    end_[list] = count_;
+  }
+
+  std::array<std::uint64_t, kInline> inline_{};
+  std::vector<std::uint64_t> spill_;
+  std::array<std::size_t, 4> end_{};
+  std::size_t count_ = 0;
+};
+
+}  // namespace policy_index_detail
+
+using namespace policy_index_detail;
+
+struct PolicyIndexRoot {
+  std::uint64_t tag = 0;
+  std::vector<std::shared_ptr<Bucket>> buckets;  // descending priority
+  std::shared_ptr<PostingMap<RawRule>> by_id;    // keyed by rule id
+};
+
+namespace {
+
+// First bucket with priority <= `priority` (buckets are descending).
+template <typename Buckets>
+auto bucket_at(Buckets& buckets, std::uint32_t priority) {
+  return std::lower_bound(buckets.begin(), buckets.end(), priority,
+                          [](const std::shared_ptr<Bucket>& bucket, std::uint32_t p) {
+                            return bucket->priority > p;
+                          });
+}
 
 }  // namespace
 
-PolicyRuleIndex::RuleList& PolicyRuleIndex::posting_list(Bucket& bucket,
-                                                         const PolicyRule& rule) {
-  const EndpointSpec& src = rule.source;
-  const EndpointSpec& dst = rule.destination;
-  if (src.ip) return bucket.src_ip[src.ip->value()];
-  if (dst.ip) return bucket.dst_ip[dst.ip->value()];
-  if (src.mac) return bucket.src_mac[src.mac->to_u64()];
-  if (dst.mac) return bucket.dst_mac[dst.mac->to_u64()];
-  if (src.user) return bucket.src_user[users_.intern(src.user->value).value];
-  if (dst.user) return bucket.dst_user[users_.intern(dst.user->value).value];
-  if (src.host) return bucket.src_host[hosts_.intern(src.host->value).value];
-  if (dst.host) return bucket.dst_host[hosts_.intern(dst.host->value).value];
-  if (src.dpid) return bucket.src_dpid[src.dpid->value];
-  if (dst.dpid) return bucket.dst_dpid[dst.dpid->value];
-  return bucket.wildcard;
-}
-
-void PolicyRuleIndex::insert(const StoredPolicyRule* stored) {
-  RuleRef ref;
-  if (!free_refs_.empty()) {
-    ref = free_refs_.back();
-    free_refs_.pop_back();
-    slots_[ref] = stored;
-  } else {
-    ref = static_cast<RuleRef>(slots_.size());
-    slots_.push_back(stored);
-  }
-  Bucket& bucket = buckets_[stored->priority.value];
-  posting_list(bucket, stored->rule).push_back(ref);
-  ++bucket.size;
-  ++size_;
-}
-
-void PolicyRuleIndex::remove(const StoredPolicyRule* stored) {
-  const auto bucket_it = buckets_.find(stored->priority.value);
-  if (bucket_it == buckets_.end()) return;
-  Bucket& bucket = bucket_it->second;
-  RuleList& list = posting_list(bucket, stored->rule);
-  const auto it = std::find_if(list.begin(), list.end(), [&](RuleRef ref) {
-    return slots_[ref] == stored;
-  });
-  if (it == list.end()) return;
-  slots_[*it] = nullptr;
-  free_refs_.push_back(*it);
-  list.erase(it);
-  --bucket.size;
-  --size_;
-  if (bucket.size == 0) buckets_.erase(bucket_it);
-}
-
-void PolicyRuleIndex::clear() {
-  buckets_.clear();
-  slots_.clear();
-  free_refs_.clear();
-  size_ = 0;
-}
-
-const StoredPolicyRule* PolicyRuleIndex::best_match(const FlowView& flow) const {
-  // Resolve the flow's user/host names to index-local ids once, outside the
-  // bucket walk. A name no rule ever pivoted on has no id — drop it here
-  // rather than hashing the string once per bucket.
-  std::vector<std::uint32_t> src_users, dst_users, src_hosts, dst_hosts;
-  const auto resolve = [](const StringInterner& names, const auto& observed,
-                          std::vector<std::uint32_t>& out) {
-    for (const auto& name : observed) {
-      const EntityId id = names.find(name.value);
-      if (id.valid()) out.push_back(id.value);
-    }
-  };
-  resolve(users_, flow.src.usernames, src_users);
-  resolve(users_, flow.dst.usernames, dst_users);
-  resolve(hosts_, flow.src.hostnames, src_hosts);
-  resolve(hosts_, flow.dst.hostnames, dst_hosts);
-
-  for (const auto& [priority, bucket] : buckets_) {
-    if (stats_enabled_) ++stats_.buckets_visited;
+const StoredPolicyRule* PolicyIndexView::best_match(const FlowView& flow) const {
+  const NameKeys names(flow);
+  for (const std::shared_ptr<Bucket>& bucket : root_->buckets) {
+    if (stats_ != nullptr) ++stats_->buckets_visited;
     const StoredPolicyRule* best = nullptr;
     const auto consider = [&](const StoredPolicyRule* stored) {
-      if (stats_enabled_) ++stats_.match_candidates;
+      if (stats_ != nullptr) ++stats_->match_candidates;
       if (!stored->rule.matches(flow)) return;
       if (best == nullptr) {
         best = stored;
@@ -117,66 +239,110 @@ const StoredPolicyRule* PolicyRuleIndex::best_match(const FlowView& flow) const 
         best = stored;  // equal-priority conflict: Deny wins
       }
     };
-    if (flow.src.ip) probe_key(bucket.src_ip, flow.src.ip->value(), slots_, consider);
-    if (flow.dst.ip) probe_key(bucket.dst_ip, flow.dst.ip->value(), slots_, consider);
-    if (flow.src.mac) probe_key(bucket.src_mac, flow.src.mac->to_u64(), slots_, consider);
-    if (flow.dst.mac) probe_key(bucket.dst_mac, flow.dst.mac->to_u64(), slots_, consider);
-    for (const std::uint32_t id : src_users) probe_key(bucket.src_user, id, slots_, consider);
-    for (const std::uint32_t id : dst_users) probe_key(bucket.dst_user, id, slots_, consider);
-    for (const std::uint32_t id : src_hosts) probe_key(bucket.src_host, id, slots_, consider);
-    for (const std::uint32_t id : dst_hosts) probe_key(bucket.dst_host, id, slots_, consider);
-    if (flow.src.dpid) probe_key(bucket.src_dpid, flow.src.dpid->value, slots_, consider);
-    if (flow.dst.dpid) probe_key(bucket.dst_dpid, flow.dst.dpid->value, slots_, consider);
-    for (const std::uint32_t ref : bucket.wildcard) consider(slots_[ref]);
+    const auto field = [&](Field f) { return bucket->fields[f].get(); };
+    const auto probe_names = [&](Field f, NameKeys::List list) {
+      if (field(f) == nullptr) return;
+      names.for_each(list, [&](std::uint64_t key) { probe(field(f), key, consider); });
+    };
+    if (flow.src.ip) probe(field(kSrcIp), flow.src.ip->value(), consider);
+    if (flow.dst.ip) probe(field(kDstIp), flow.dst.ip->value(), consider);
+    if (flow.src.mac) probe(field(kSrcMac), flow.src.mac->to_u64(), consider);
+    if (flow.dst.mac) probe(field(kDstMac), flow.dst.mac->to_u64(), consider);
+    probe_names(kSrcUser, NameKeys::kSrcUsers);
+    probe_names(kDstUser, NameKeys::kDstUsers);
+    probe_names(kSrcHost, NameKeys::kSrcHosts);
+    probe_names(kDstHost, NameKeys::kDstHosts);
+    if (flow.src.dpid) probe(field(kSrcDpid), flow.src.dpid->value, consider);
+    if (flow.dst.dpid) probe(field(kDstDpid), flow.dst.dpid->value, consider);
+    probe(field(kWildcard), kWildcardKey, consider);
     if (best != nullptr) return best;  // no lower bucket can outrank this one
   }
   return nullptr;
 }
 
-void PolicyRuleIndex::for_each_overlap_candidate(
-    const PolicyRule& rule, PdpPriority below,
+void PolicyIndexView::for_each_overlap_candidate(
+    const PolicyRule& rule, std::uint32_t min_priority, std::uint32_t max_priority,
     const std::function<void(const StoredPolicyRule&)>& fn) const {
   const auto visit = [&](const StoredPolicyRule* stored) {
-    if (stats_enabled_) ++stats_.overlap_candidates;
+    if (stats_ != nullptr) ++stats_->overlap_candidates;
     fn(*stored);
   };
-  // Overlap probing: a rule pivoted on field f with value v overlaps the
-  // new rule on f iff the new rule wildcards f or names the same v — so a
-  // concrete spec costs one probe, a wildcard spec visits the whole map.
-  // A concretely named user/host that no indexed rule ever pivoted on has
-  // no index-local id and therefore an empty candidate set for that map.
-  const auto sweep_value = [&](const auto& map, const auto& spec) {
-    if (!spec.has_value()) {
-      probe_all(map, slots_, visit);
-    } else {
-      probe_key(map, key_of(*spec), slots_, visit);
+  // A rule pivoted on field f with value v overlaps `rule` on f iff `rule`
+  // wildcards f or names the same v — so a concrete spec costs one probe,
+  // a wildcard spec visits the whole map.
+  const auto keys = spec_keys(rule);
+  for (auto it = bucket_at(root_->buckets, max_priority);
+       it != root_->buckets.end() && (*it)->priority >= min_priority; ++it) {
+    const Bucket& bucket = **it;
+    for (std::size_t f = 0; f < keys.size(); ++f) {
+      if (keys[f]) {
+        probe(bucket.fields[f].get(), *keys[f], visit);
+      } else {
+        for_all(bucket.fields[f].get(), visit);
+      }
     }
-  };
-  const auto sweep_name = [&](const auto& map, const auto& spec,
-                              const StringInterner& names) {
-    if (!spec.has_value()) {
-      probe_all(map, slots_, visit);
-      return;
-    }
-    const EntityId id = names.find(spec->value);
-    if (id.valid()) probe_key(map, id.value, slots_, visit);
-  };
-  // greater<> ordering: upper_bound yields the first bucket with priority
-  // strictly below the new rule's.
-  for (auto it = buckets_.upper_bound(below.value); it != buckets_.end(); ++it) {
-    const Bucket& bucket = it->second;
-    sweep_value(bucket.src_ip, rule.source.ip);
-    sweep_value(bucket.dst_ip, rule.destination.ip);
-    sweep_value(bucket.src_mac, rule.source.mac);
-    sweep_value(bucket.dst_mac, rule.destination.mac);
-    sweep_name(bucket.src_user, rule.source.user, users_);
-    sweep_name(bucket.dst_user, rule.destination.user, users_);
-    sweep_name(bucket.src_host, rule.source.host, hosts_);
-    sweep_name(bucket.dst_host, rule.destination.host, hosts_);
-    sweep_value(bucket.src_dpid, rule.source.dpid);
-    sweep_value(bucket.dst_dpid, rule.destination.dpid);
-    for (const std::uint32_t ref : bucket.wildcard) visit(slots_[ref]);
+    probe(bucket.fields[kWildcard].get(), kWildcardKey, visit);
   }
+}
+
+const StoredPolicyRule* PolicyIndexView::find(PolicyRuleId id) const {
+  const StoredPolicyRule* found = nullptr;
+  probe(root_->by_id.get(), id.value, [&](const StoredPolicyRule* stored) { found = stored; });
+  return found;
+}
+
+std::vector<const StoredPolicyRule*> PolicyIndexView::rules() const {
+  std::vector<const StoredPolicyRule*> out;
+  out.reserve(size());
+  for_all(root_->by_id.get(), [&](const StoredPolicyRule* stored) { out.push_back(stored); });
+  std::sort(out.begin(), out.end(),
+            [](const StoredPolicyRule* a, const StoredPolicyRule* b) { return a->id < b->id; });
+  return out;
+}
+
+std::size_t PolicyIndexView::size() const {
+  return root_->by_id == nullptr ? 0 : root_->by_id->size;
+}
+
+PolicyRuleIndex::PolicyRuleIndex() : root_(std::make_shared<PolicyIndexRoot>()) {}
+
+void PolicyRuleIndex::insert(StoredPolicyRule stored) {
+  RulePtr rule = std::make_shared<const StoredPolicyRule>(std::move(stored));
+  PolicyIndexRoot& root = cow_writable(root_, generation_);
+  auto it = bucket_at(root.buckets, rule->priority.value);
+  if (it == root.buckets.end() || (*it)->priority != rule->priority.value) {
+    it = root.buckets.insert(it, nullptr);
+    cow_writable(*it, generation_).priority = rule->priority.value;
+  }
+  Bucket& bucket = cow_writable(*it, generation_);
+  const Pivot pivot = pivot_of(rule->rule);
+  posting_insert(root.by_id, rule->id.value, rule.get(), generation_);
+  posting_insert(bucket.fields[pivot.field], pivot.key, std::move(rule), generation_);
+  ++bucket.size;
+}
+
+bool PolicyRuleIndex::remove(PolicyRuleId id) {
+  const StoredPolicyRule* stored = PolicyIndexView(*root_, nullptr).find(id);
+  if (stored == nullptr) return false;
+  // Everything needed from the rule, taken before an erase may free it.
+  const std::uint32_t priority = stored->priority.value;
+  const Pivot pivot = pivot_of(stored->rule);
+  PolicyIndexRoot& root = cow_writable(root_, generation_);
+  posting_erase(root.by_id, id.value, id, generation_);
+  const auto it = bucket_at(root.buckets, priority);
+  if ((*it)->size == 1) {
+    root.buckets.erase(it);
+  } else {
+    Bucket& bucket = cow_writable(*it, generation_);
+    posting_erase(bucket.fields[pivot.field], pivot.key, id, generation_);
+    --bucket.size;
+  }
+  return true;
+}
+
+std::shared_ptr<const PolicyIndexRoot> PolicyRuleIndex::freeze() const {
+  ++generation_;
+  return root_;
 }
 
 }  // namespace dfi

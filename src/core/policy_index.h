@@ -1,4 +1,4 @@
-// Priority-bucketed posting-list index over policy rules.
+// Priority-bucketed posting-list index over policy rules, copy-on-write.
 //
 // The Policy Manager must return the highest-PDP-priority rule matching an
 // enriched flow, resolving equal-priority Allow/Deny conflicts toward Deny
@@ -11,13 +11,11 @@
 // constrained solely by ports / flow properties) live on the bucket's
 // wildcard list.
 //
-// Compact entity plane (DESIGN.md §8): posting lists hold packed 32-bit
-// rule refs into a slot registry, not 8-byte rule pointers, and the posting
-// maps are keyed on raw integer values — IPs as u32, MACs/DPIDs as u64,
-// user/host names as ids from index-local interners — so a 100k-rule store
-// costs a fraction of the string-keyed layout and every probe hashes a
-// machine word. A queried name that was never named by any rule maps to no
-// id and is skipped without touching a bucket.
+// Posting keys are 64-bit words: IPs, MACs and DPIDs are their values,
+// user/host names are a hash of the name. A hash collision only adds a
+// candidate — matches() and overlaps() re-check the names — so the index
+// needs no name interner, and a queried name no rule pivots on probes an
+// empty slot.
 //
 // Query: walk buckets from the highest priority down. A bucket's candidate
 // set is its wildcard list plus, for each pivot field, the posting list
@@ -28,34 +26,43 @@
 // (core/policy.cc, field_matches), so such rules cannot match the flow.
 // Because each rule lives in exactly one posting list, no candidate is
 // visited twice and the Deny-wins tie-break inspects every equal-priority
-// match exactly as the linear scan does. The first bucket containing any
-// match decides (early exit).
+// match exactly as the linear scan does. Posting lists are in ascending-id
+// order, so the choice among equally ranked same-action rules is a pure
+// function of the rule set. The first bucket containing any match decides
+// (early exit).
 //
 // The same structure serves the insert-time consistency sweep (Section
-// III-B): overlap candidates for a new rule are, per strictly-lower
-// priority bucket, the wildcard list plus — for each pivot field — either
-// one posting list (the new rule names that field concretely; overlap
-// requires equality) or the field's entire map (the new rule wildcards the
-// field, which overlaps every value).
+// III-B) and the wildcard-cache safety gate (core/rule_cache.h): overlap
+// candidates for a rule are, per bucket in a priority range, the wildcard
+// list plus — for each pivot field — either one posting list (the rule
+// names that field concretely; overlap requires equality) or the field's
+// entire map (the rule wildcards the field, which overlaps every value).
+//
+// Copy-on-write versions (DESIGN.md §5). Every node — the bucket set, each
+// bucket, each pivot field's map, each of the map's hash pages, and the
+// id -> rule map — carries a generation tag (common/cow_table.h). freeze()
+// bumps the generation and hands out the current root: an O(1) snapshot.
+// The next write path-copies only the root, the bucket, the field map and
+// the one page it touches; all other nodes stay shared. Each map is split
+// into a fixed number of pages by key hash and each page is one flat
+// vector, so a path copy costs a fixed number of allocations whatever the
+// rule count. Rules are owned by the posting entries that file them
+// (shared_ptr), so a revoke cannot free a rule a frozen version still
+// reaches.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/intern.h"
 #include "common/types.h"
 #include "core/policy.h"
 
 namespace dfi {
 
-// A rule as stored by the Policy Manager. Defined here (rather than in
-// policy_manager.h, which includes this header) so the index can file
-// pointers to stored rules; the Policy Manager's node-based storage
-// guarantees pointer stability for the lifetime of each rule.
+// A rule as stored by the Policy Manager. Immutable once indexed.
 struct StoredPolicyRule {
   PolicyRuleId id{};
   PolicyRule rule;
@@ -69,79 +76,69 @@ struct PolicyIndexStats {
   std::uint64_t overlap_candidates = 0;   // rules tested by the insert sweep
 };
 
-class PolicyRuleIndex {
+// One version of the index (defined in policy_index.cc). The live version
+// is written only by its PolicyRuleIndex; a frozen one is never written.
+struct PolicyIndexRoot;
+
+// Read-only operations over one version of the index: the live one (through
+// PolicyRuleIndex::view) or a frozen one (PolicySnapshot::index).
+class PolicyIndexView {
  public:
-  PolicyRuleIndex() = default;
-  // The index-local interners are append-only and address-stable; the index
-  // itself is built in place wherever it lives (PolicyManager member,
-  // PolicySnapshot member) and never copied.
-  PolicyRuleIndex(const PolicyRuleIndex&) = delete;
-  PolicyRuleIndex& operator=(const PolicyRuleIndex&) = delete;
-
-  // `stored` must outlive its presence in the index and keep (rule,
-  // priority) unchanged while indexed.
-  void insert(const StoredPolicyRule* stored);
-  void remove(const StoredPolicyRule* stored);
-  void clear();
-
-  // Stop maintaining the (mutable) query counters. A frozen index inside a
-  // PolicySnapshot (core/policy_snapshot.h) is queried concurrently from
-  // PCP shard threads; with stats disabled best_match touches no mutable
-  // state at all, so concurrent queries are data-race free.
-  void disable_stats() { stats_enabled_ = false; }
+  // Counters go to `stats` when non-null. Frozen versions are read from
+  // PCP shard threads and pass null: they then touch no mutable state.
+  PolicyIndexView(const PolicyIndexRoot& root, PolicyIndexStats* stats)
+      : root_(&root), stats_(stats) {}
 
   // Highest-priority rule matching `flow`, Deny winning equal-priority
   // conflicts; nullptr when nothing matches (default deny).
   const StoredPolicyRule* best_match(const FlowView& flow) const;
 
-  // Invoke `fn` on every indexed rule with priority strictly below `below`
+  // Invoke `fn` on every rule with priority in [min_priority, max_priority]
   // that could field-wise overlap `rule`. The candidate set is a superset
   // of the truly overlapping rules; callers re-check with
   // PolicyRule::overlaps. Each rule is visited at most once.
   void for_each_overlap_candidate(
-      const PolicyRule& rule, PdpPriority below,
+      const PolicyRule& rule, std::uint32_t min_priority, std::uint32_t max_priority,
       const std::function<void(const StoredPolicyRule&)>& fn) const;
 
-  std::size_t size() const { return size_; }
+  const StoredPolicyRule* find(PolicyRuleId id) const;
+
+  // Every rule, ascending id.
+  std::vector<const StoredPolicyRule*> rules() const;
+
+  std::size_t size() const;
+
+ private:
+  const PolicyIndexRoot* root_;
+  PolicyIndexStats* stats_;
+};
+
+// The live index: the single writer of its versions (control thread only).
+class PolicyRuleIndex {
+ public:
+  PolicyRuleIndex();
+  PolicyRuleIndex(const PolicyRuleIndex&) = delete;
+  PolicyRuleIndex& operator=(const PolicyRuleIndex&) = delete;
+
+  // `stored.id` must not be indexed already.
+  void insert(StoredPolicyRule stored);
+  // False when `id` is not indexed.
+  bool remove(PolicyRuleId id);
+
+  // The current version, frozen: later writes copy what they touch instead
+  // of changing it. Freezing changes no content, hence const.
+  std::shared_ptr<const PolicyIndexRoot> freeze() const;
+
+  // The live version, counting into stats().
+  PolicyIndexView view() const { return PolicyIndexView(*root_, &stats_); }
+  // Identity of the live version: unchanged exactly until the next write
+  // after a freeze().
+  const PolicyIndexRoot* root() const { return root_.get(); }
   const PolicyIndexStats& stats() const { return stats_; }
 
  private:
-  // Packed reference into slots_; posting lists hold these, not pointers.
-  using RuleRef = std::uint32_t;
-  using RuleList = std::vector<RuleRef>;
-
-  struct Bucket {
-    std::unordered_map<std::uint32_t, RuleList> src_ip, dst_ip;    // IP value
-    std::unordered_map<std::uint64_t, RuleList> src_mac, dst_mac;  // MAC u48
-    std::unordered_map<std::uint32_t, RuleList> src_user, dst_user;  // user id
-    std::unordered_map<std::uint32_t, RuleList> src_host, dst_host;  // host id
-    std::unordered_map<std::uint64_t, RuleList> src_dpid, dst_dpid;
-    RuleList wildcard;
-    std::size_t size = 0;
-  };
-
-  // The posting list `rule` belongs to within `bucket` (pivot selection is
-  // a pure function of the rule, so insert and remove agree). Interns any
-  // pivot name, so only the insert/remove path may call it.
-  RuleList& posting_list(Bucket& bucket, const PolicyRule& rule);
-
-  // Buckets in descending PDP priority: queries early-exit on the first
-  // bucket containing a match.
-  std::map<std::uint32_t, Bucket, std::greater<std::uint32_t>> buckets_;
-
-  // Rule-ref registry: refs index slots_, freed refs are recycled so the
-  // registry stays dense under rule churn.
-  std::vector<const StoredPolicyRule*> slots_;
-  std::vector<RuleRef> free_refs_;
-
-  // Index-local name namespaces for user/host pivots. Append-only: a
-  // removed rule's names stay interned (bounded by distinct names ever
-  // seen, which the 100k-rule plane is sized for).
-  StringInterner users_;
-  StringInterner hosts_;
-
-  std::size_t size_ = 0;
-  bool stats_enabled_ = true;
+  std::shared_ptr<PolicyIndexRoot> root_;
+  mutable std::uint64_t generation_ = 0;
   mutable PolicyIndexStats stats_;
 };
 

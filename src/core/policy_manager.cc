@@ -24,36 +24,32 @@ PolicyRuleId PolicyManager::insert(PolicyRule rule, PdpPriority priority,
   // Consistency check: flush switch rules derived from existing
   // lower-priority rules with the opposite action that overlap the new one.
   // The index narrows the sweep to field-wise overlap candidates.
-  index_.for_each_overlap_candidate(
-      rule, priority, [&](const StoredPolicyRule& stored) {
-        if (stored.rule.action == rule.action) return;
-        if (!stored.rule.overlaps(rule)) return;
-        ++stats_.conflict_flushes;
-        publish_flush(stored.id);
-      });
+  if (priority.value > 0) {
+    index_.view().for_each_overlap_candidate(
+        rule, 0, priority.value - 1, [&](const StoredPolicyRule& stored) {
+          if (stored.rule.action == rule.action) return;
+          if (!stored.rule.overlaps(rule)) return;
+          ++stats_.conflict_flushes;
+          publish_flush(stored.id);
+        });
+  }
   // A new Allow rule may override previous default-deny decisions whose
   // exact-match deny rules are cached in switches; flush those too.
   if (rule.action == PolicyAction::kAllow) {
     publish_flush(PolicyRuleId{kDefaultDenyCookie.value});
   }
 
-  const auto [it, inserted] = rules_.emplace(
-      id, StoredPolicyRule{id, std::move(rule), priority, std::move(pdp_name)});
-  index_.insert(&it->second);
+  index_.insert(StoredPolicyRule{id, std::move(rule), priority, std::move(pdp_name)});
   ++epoch_;
-  snapshot_cache_.invalidate();
   return id;
 }
 
 bool PolicyManager::revoke(PolicyRuleId id) {
-  const auto it = rules_.find(id);
-  if (it == rules_.end()) return false;
+  if (index_.view().find(id) == nullptr) return false;
   if (journal_ != nullptr) journal_->append_policy_revoke(id, epoch_ + 1);
   ++stats_.revocations;
-  index_.remove(&it->second);
-  rules_.erase(it);
+  index_.remove(id);
   ++epoch_;
-  snapshot_cache_.invalidate();
   // Flush every switch rule derived from the revoked policy so ongoing
   // flows are re-evaluated against the remaining policy (Section III-B).
   publish_flush(id);
@@ -62,83 +58,48 @@ bool PolicyManager::revoke(PolicyRuleId id) {
 
 PolicyDecision PolicyManager::query(const FlowView& flow) const {
   ++stats_.queries;
-  const StoredPolicyRule* best = index_.best_match(flow);
-  if (best == nullptr) {
-    return PolicyDecision{PolicyAction::kDeny, PolicyRuleId{kDefaultDenyCookie.value},
-                          /*default_deny=*/true};
-  }
-  return PolicyDecision{best->rule.action, best->id, /*default_deny=*/false};
-}
-
-PolicyDecision PolicyManager::query_linear(const FlowView& flow) const {
-  ++stats_.linear_queries;
-  const StoredPolicyRule* best = nullptr;
-  for (const auto& [id, stored] : rules_) {
-    if (!stored.rule.matches(flow)) continue;
-    if (best == nullptr || stored.priority > best->priority) {
-      best = &stored;
-    } else if (stored.priority == best->priority &&
-               stored.rule.action == PolicyAction::kDeny &&
-               best->rule.action == PolicyAction::kAllow) {
-      best = &stored;  // equal-priority conflict: Deny wins
-    }
-  }
-  if (best == nullptr) {
-    return PolicyDecision{PolicyAction::kDeny, PolicyRuleId{kDefaultDenyCookie.value},
-                          /*default_deny=*/true};
-  }
-  return PolicyDecision{best->rule.action, best->id, /*default_deny=*/false};
+  return decision_of(index_.view().best_match(flow));
 }
 
 std::optional<StoredPolicyRule> PolicyManager::find(PolicyRuleId id) const {
-  const auto it = rules_.find(id);
-  if (it == rules_.end()) return std::nullopt;
-  return it->second;
+  const StoredPolicyRule* stored = index_.view().find(id);
+  if (stored == nullptr) return std::nullopt;
+  return *stored;
 }
 
 std::vector<StoredPolicyRule> PolicyManager::rules() const {
   std::vector<StoredPolicyRule> out;
-  out.reserve(rules_.size());
-  for (const auto& [id, stored] : rules_) out.push_back(stored);
+  out.reserve(size());
+  for (const StoredPolicyRule* stored : index_.view().rules()) out.push_back(*stored);
   return out;
 }
 
 void PolicyManager::restore_rule(StoredPolicyRule stored) {
   const PolicyRuleId id = stored.id;
-  const auto [it, inserted] = rules_.emplace(id, std::move(stored));
-  if (!inserted) return;  // replay is idempotent against duplicate records
-  index_.insert(&it->second);
+  if (index_.view().find(id) != nullptr) return;  // replay is idempotent
+  index_.insert(std::move(stored));
   if (id.value >= next_id_) next_id_ = id.value + 1;
-  snapshot_cache_.invalidate();
 }
 
-bool PolicyManager::restore_revoke(PolicyRuleId id) {
-  const auto it = rules_.find(id);
-  if (it == rules_.end()) return false;
-  index_.remove(&it->second);
-  rules_.erase(it);
-  snapshot_cache_.invalidate();
-  return true;
-}
+bool PolicyManager::restore_revoke(PolicyRuleId id) { return index_.remove(id); }
 
 void PolicyManager::restore_next_id(std::uint64_t next_id) {
   if (next_id > next_id_) next_id_ = next_id;
 }
 
 void PolicyManager::advance_epoch_to(std::uint64_t epoch) {
-  if (epoch > epoch_) {
-    epoch_ = epoch;
-    snapshot_cache_.invalidate();
-  }
+  if (epoch > epoch_) epoch_ = epoch;
 }
 
 std::shared_ptr<const PolicySnapshot> PolicyManager::snapshot_view() const {
-  return snapshot_cache_.get([this]() {
-    ++stats_.snapshot_rebuilds;
-    // rules_ is an ordered map keyed by id, so this is ascending-id order —
-    // the order PolicySnapshot requires for tie-break equivalence.
-    return std::make_shared<const PolicySnapshot>(rules(), epoch_);
-  });
+  // Any write after a freeze replaces the live root, so an unchanged root
+  // at an unchanged epoch means the published snapshot is still current.
+  if (published_ == nullptr || published_->root() != index_.root() ||
+      published_->epoch() != epoch_) {
+    ++stats_.publications;
+    published_ = std::make_shared<const PolicySnapshot>(index_.freeze(), epoch_);
+  }
+  return published_;
 }
 
 void PolicyManager::publish_flush(PolicyRuleId id) {

@@ -17,14 +17,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "bus/message_bus.h"
-#include "common/snapshot.h"
 #include "common/types.h"
 #include "core/policy.h"
 #include "core/policy_index.h"
@@ -47,9 +45,8 @@ struct PolicyManagerStats {
   std::uint64_t inserts = 0;
   std::uint64_t revocations = 0;
   std::uint64_t queries = 0;
-  std::uint64_t linear_queries = 0;  // reference-scan queries (tests/bench)
   std::uint64_t conflict_flushes = 0;
-  std::uint64_t snapshot_rebuilds = 0;
+  std::uint64_t publications = 0;  // snapshot_view() calls that froze a new version
 };
 
 class PolicyManager {
@@ -69,15 +66,10 @@ class PolicyManager {
   // the posting-list index (core/policy_index.h); O(candidates), not O(n).
   PolicyDecision query(const FlowView& flow) const;
 
-  // Reference implementation of query(): the original full linear scan.
-  // Retained as the differential-test oracle and the scan baseline for
-  // bench_micro_policy_index; semantically identical to query() up to the
-  // choice among equally-ranked same-action rules.
-  PolicyDecision query_linear(const FlowView& flow) const;
-
   std::optional<StoredPolicyRule> find(PolicyRuleId id) const;
+  // Every rule, ascending id.
   std::vector<StoredPolicyRule> rules() const;
-  std::size_t size() const { return rules_.size(); }
+  std::size_t size() const { return index_.view().size(); }
   const PolicyManagerStats& stats() const { return stats_; }
   const PolicyIndexStats& index_stats() const { return index_.stats(); }
 
@@ -87,9 +79,8 @@ class PolicyManager {
   std::uint64_t epoch() const { return epoch_; }
 
   // Immutable, epoch-stamped snapshot of the rule database for the PCP
-  // decision path (DESIGN.md §5). Rebuilt lazily — at most once per
-  // insert/revoke, no matter how many decisions run in between; repeated
-  // calls at the same epoch share one frozen object.
+  // decision path (DESIGN.md §5): the live index frozen, O(1). Repeated
+  // calls with no change in between share one snapshot object.
   std::shared_ptr<const PolicySnapshot> snapshot_view() const;
 
   // ------------------------------------------------- durability (WAL)
@@ -116,14 +107,15 @@ class PolicyManager {
   void publish_flush(PolicyRuleId id);
 
   MessageBus& bus_;
-  // Node-based storage: the index holds pointers into this map, which stay
-  // valid across unrelated inserts/erases.
-  std::map<PolicyRuleId, StoredPolicyRule> rules_;
+  // The one rule store: queries, the consistency sweep and every published
+  // snapshot read versions of this index.
   PolicyRuleIndex index_;
   std::uint64_t next_id_ = kDefaultDenyCookie.value + 1;
   std::uint64_t epoch_ = 0;
   Journal* journal_ = nullptr;
-  mutable SnapshotCache<PolicySnapshot> snapshot_cache_;
+  // The last published snapshot; reused while it still holds the live
+  // version at the current epoch.
+  mutable std::shared_ptr<const PolicySnapshot> published_;
   mutable PolicyManagerStats stats_;
 };
 

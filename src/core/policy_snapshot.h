@@ -1,26 +1,24 @@
 // Immutable snapshot of the Policy Manager's rule database.
 //
-// The PCP decision path queries policy through a frozen PolicySnapshot —
-// a deep copy of every stored rule plus a PolicyRuleIndex built over the
-// copies with its counters disabled — instead of the Policy Manager's live
-// index (DESIGN.md §5). A snapshot is therefore safe to query from any
-// number of PCP shards concurrently while PDPs keep inserting and revoking
-// rules against the live manager on the control thread.
+// The PCP decision path queries policy through a PolicySnapshot instead of
+// the Policy Manager's live index (DESIGN.md §5). A snapshot is a handle
+// to one frozen version of that same copy-on-write index
+// (core/policy_index.h) plus the epoch it was taken at: taking one copies
+// no rule and builds nothing. The control thread never writes a frozen
+// version, and snapshot queries count nothing, so any number of PCP shards
+// may query one concurrently while PDPs keep inserting and revoking rules
+// against the live manager.
 //
-// Query equivalence: the frozen index files its rules in ascending-id
-// order, which is exactly the surviving-insertion order of the live
-// index's posting lists (inserts append, revokes erase in place), so
-// query() here returns bit-identical decisions to PolicyManager::query()
-// at the epoch the snapshot was taken — including the choice among
-// equally-ranked same-action rules.
+// Query equivalence: the live query and a snapshot query run the same
+// PolicyIndexView::best_match over the same version, so query() here
+// returns bit-identical decisions to PolicyManager::query() at the epoch
+// the snapshot was taken — including the choice among equally ranked
+// same-action rules.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <optional>
-#include <unordered_map>
-#include <vector>
+#include <utility>
 
 #include "common/types.h"
 #include "core/policy.h"
@@ -41,34 +39,44 @@ struct PolicyDecision {
   bool default_deny = false;
 };
 
+// The decision a best match (nullptr: none) stands for.
+inline PolicyDecision decision_of(const StoredPolicyRule* best) {
+  if (best == nullptr) {
+    return PolicyDecision{PolicyAction::kDeny, PolicyRuleId{kDefaultDenyCookie.value},
+                          /*default_deny=*/true};
+  }
+  return PolicyDecision{best->rule.action, best->id, /*default_deny=*/false};
+}
+
 class PolicySnapshot {
  public:
-  // Freeze `rules` (presented in ascending-id order) at `epoch`.
-  PolicySnapshot(std::vector<StoredPolicyRule> rules, std::uint64_t epoch);
+  PolicySnapshot(std::shared_ptr<const PolicyIndexRoot> root, std::uint64_t epoch)
+      : root_(std::move(root)), epoch_(epoch) {}
 
   // Highest-priority rule matching the flow; PDP priority orders rules,
   // equal-priority Allow/Deny conflicts resolve to Deny, no match is the
   // default deny. Pure: touches no mutable state.
-  PolicyDecision query(const FlowView& flow) const;
+  PolicyDecision query(const FlowView& flow) const {
+    return decision_of(index().best_match(flow));
+  }
 
-  const StoredPolicyRule* find(PolicyRuleId id) const;
+  // Rules stay valid while this snapshot is held, revoked ones included.
+  const StoredPolicyRule* find(PolicyRuleId id) const { return index().find(id); }
 
-  // Every frozen rule, ascending id. Iteration without the per-call copy
-  // PolicyManager::rules() makes.
-  const std::deque<StoredPolicyRule>& rules() const { return rules_; }
+  // The frozen index, counting nothing.
+  PolicyIndexView index() const { return PolicyIndexView(*root_, nullptr); }
 
-  std::size_t size() const { return rules_.size(); }
+  std::size_t size() const { return index().size(); }
 
   // The Policy Manager epoch in force when this snapshot was taken;
   // decision-cache entries derived from it are stamped with this value.
   std::uint64_t epoch() const { return epoch_; }
 
+  // Which index version this snapshot holds.
+  const PolicyIndexRoot* root() const { return root_.get(); }
+
  private:
-  // Deque: stable element addresses while building, required because the
-  // index holds pointers to the stored rules.
-  std::deque<StoredPolicyRule> rules_;
-  std::unordered_map<std::uint64_t, const StoredPolicyRule*> by_id_;
-  PolicyRuleIndex index_;
+  std::shared_ptr<const PolicyIndexRoot> root_;
   std::uint64_t epoch_ = 0;
 };
 

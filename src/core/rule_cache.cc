@@ -1,5 +1,7 @@
 #include "core/rule_cache.h"
 
+#include <limits>
+
 namespace dfi {
 namespace {
 
@@ -45,12 +47,14 @@ std::optional<WildcardCompileResult> compile_wildcard(const PolicySnapshot& poli
   // Safety gate: any other rule with priority >= ours and the opposite
   // action that overlaps our scope could decide a covered packet
   // differently (including the equal-priority case, where Deny wins).
-  for (const auto& other : policy.rules()) {
-    if (other.id == stored->id) continue;
-    if (other.priority < stored->priority) continue;
-    if (other.rule.action == stored->rule.action) continue;
-    if (other.rule.overlaps(stored->rule)) return std::nullopt;
-  }
+  bool conflict = false;
+  policy.index().for_each_overlap_candidate(
+      stored->rule, stored->priority.value, std::numeric_limits<std::uint32_t>::max(),
+      [&](const StoredPolicyRule& other) {
+        if (other.id == stored->id || other.rule.action == stored->rule.action) return;
+        if (other.rule.overlaps(stored->rule)) conflict = true;
+      });
+  if (conflict) return std::nullopt;
 
   WildcardCompileResult result;
   Match& match = result.match;

@@ -52,9 +52,8 @@ struct WildcardCompileResult {
 std::optional<WildcardCompileResult> compile_wildcard(
     const PolicySnapshot& policy, const PolicyDecision& decision, const FlowView& flow);
 
-// Convenience overload over the live manager: freezes a snapshot and
-// delegates (the snapshot is cached inside the manager, so repeated calls
-// at one epoch share it).
+// Convenience overload over the live manager: publishes a snapshot (O(1))
+// and delegates.
 std::optional<WildcardCompileResult> compile_wildcard(
     const PolicyManager& policy, const PolicyDecision& decision, const FlowView& flow);
 

@@ -1,20 +1,29 @@
 // Differential/property tests for the posting-list policy index: the
 // indexed PolicyManager::query must be semantically equivalent to the
-// retained linear-scan oracle query_linear over randomized rule sets and
-// flows, including equal-priority Deny-wins and wildcard-only rules, and
-// the index-driven insert-time conflict sweep must flush exactly the rules
-// the brute-force overlap definition names (paper §III-B).
+// linear-scan oracle query_linear (tests/support/reference_model) over
+// randomized rule sets and flows, including equal-priority Deny-wins and
+// wildcard-only rules, and the index-driven insert-time conflict sweep must
+// flush exactly the rules the brute-force overlap definition names (paper
+// §III-B). Frozen versions of the copy-on-write index (PolicySnapshot) must
+// keep answering as the oracle did at their epoch, on any thread, whatever
+// the live index does afterwards.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <mutex>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "bus/message_bus.h"
 #include "core/policy_manager.h"
+#include "support/reference_model.h"
 
 namespace dfi {
 namespace {
+
+using test::query_linear;
 
 // Small identifier pools: draws collide often enough that rules match
 // flows, overlap each other, and tie on priority.
@@ -100,7 +109,7 @@ class RandomModel {
 // id may differ among equally-ranked same-action rules.
 void expect_equivalent(const PolicyManager& manager, const FlowView& flow) {
   const PolicyDecision indexed = manager.query(flow);
-  const PolicyDecision linear = manager.query_linear(flow);
+  const PolicyDecision linear = query_linear(manager.rules(), flow);
   ASSERT_EQ(indexed.default_deny, linear.default_deny)
       << "index and linear scan disagree on whether any rule matches";
   ASSERT_EQ(indexed.action, linear.action);
@@ -209,7 +218,8 @@ TEST(PolicyIndexTest, EqualPriorityDenyWinsWithinPostingList) {
   manager.insert(allow, PdpPriority{10}, "a");
   manager.insert(deny, PdpPriority{10}, "b");
   EXPECT_EQ(manager.query(flow_for_user("alice")).action, PolicyAction::kDeny);
-  EXPECT_EQ(manager.query_linear(flow_for_user("alice")).action, PolicyAction::kDeny);
+  EXPECT_EQ(query_linear(manager.rules(), flow_for_user("alice")).action,
+            PolicyAction::kDeny);
 }
 
 TEST(PolicyIndexTest, EqualPriorityDenyWinsAcrossWildcardAndPostingList) {
@@ -271,6 +281,144 @@ TEST(PolicyIndexTest, PolicyEpochBumpsOnInsertAndRevokeOnly) {
   const std::uint64_t e2 = manager.epoch();
   EXPECT_FALSE(manager.revoke(id));  // failed revoke: no state change
   EXPECT_EQ(manager.epoch(), e2);
+}
+
+// ------------------------------------------------- frozen versions
+
+// The oracle contract of expect_equivalent, for a decision `got` from a
+// snapshot whose rules were `rules` (ascending id).
+bool oracle_agrees(const PolicySnapshot& snapshot, const std::vector<StoredPolicyRule>& rules,
+                   const FlowView& flow, const PolicyDecision& got) {
+  const PolicyDecision want = query_linear(rules, flow);
+  if (got.default_deny != want.default_deny || got.action != want.action) return false;
+  if (got.default_deny || got.rule_id == want.rule_id) return true;
+  const StoredPolicyRule* a = snapshot.find(got.rule_id);
+  const StoredPolicyRule* b = snapshot.find(want.rule_id);
+  return a != nullptr && b != nullptr && a->priority == b->priority &&
+         a->rule.matches(flow);
+}
+
+TEST(PolicySnapshotTest, SnapshotTakenBeforeRevokeStillFindsAndMatchesTheRule) {
+  // The rules a held snapshot reaches must outlive their revocation (under
+  // ASan a freed rule read here is a use-after-free), and the snapshot must
+  // keep answering as the oracle did at its epoch.
+  MessageBus bus;
+  PolicyManager manager(bus);
+  RandomModel model(77);
+  for (int i = 0; i < 150; ++i) {
+    manager.insert(model.random_rule(), model.random_priority(), "before");
+  }
+  const std::vector<StoredPolicyRule> rules = manager.rules();
+  const auto snapshot = manager.snapshot_view();
+
+  // Revoke every rule (emptying pages, maps and buckets) and churn new ones
+  // into the live index, publishing in between.
+  for (const StoredPolicyRule& stored : rules) {
+    ASSERT_TRUE(manager.revoke(stored.id));
+    if (stored.id.value % 3 == 0) {
+      manager.insert(model.random_rule(), model.random_priority(), "after");
+      manager.snapshot_view();
+    }
+  }
+  for (const StoredPolicyRule& stored : rules) {
+    EXPECT_FALSE(manager.find(stored.id).has_value());
+    const StoredPolicyRule* held = snapshot->find(stored.id);
+    ASSERT_NE(held, nullptr);
+    EXPECT_EQ(held->rule, stored.rule);
+    EXPECT_EQ(held->priority, stored.priority);
+    EXPECT_EQ(held->pdp_name, stored.pdp_name);
+  }
+  EXPECT_EQ(snapshot->size(), rules.size());
+  EXPECT_EQ(snapshot->index().rules().size(), rules.size());
+  for (int i = 0; i < 300; ++i) {
+    const FlowView flow = model.random_flow();
+    const PolicyDecision got = snapshot->query(flow);
+    ASSERT_TRUE(oracle_agrees(*snapshot, rules, flow, got)) << "flow " << i;
+    if (!got.default_deny) {
+      EXPECT_TRUE(snapshot->find(got.rule_id)->rule.matches(flow));
+    }
+  }
+}
+
+TEST(PolicySnapshotTest, HeldSnapshotsAnswerAsTheOracleAtTheirEpochWhileTheIndexChurns) {
+  // Reader threads query held snapshots while the control thread inserts,
+  // revokes and publishes. Each publication carries the live answers and
+  // the rule set at its epoch; every reader answer must equal the live one
+  // exactly and satisfy the oracle contract. Run under TSan by check.sh.
+  struct Publication {
+    std::shared_ptr<const PolicySnapshot> snapshot;
+    std::vector<StoredPolicyRule> rules;
+    std::vector<PolicyDecision> live;
+  };
+  MessageBus bus;
+  PolicyManager manager(bus);
+  RandomModel model(4242);
+  std::vector<FlowView> flows;
+  for (int i = 0; i < 48; ++i) flows.push_back(model.random_flow());
+  std::vector<PolicyRuleId> ids;
+  for (int i = 0; i < 100; ++i) {
+    ids.push_back(manager.insert(model.random_rule(), model.random_priority(), "base"));
+  }
+
+  std::mutex mu;
+  std::shared_ptr<const Publication> latest;
+  const auto publish = [&] {
+    auto publication = std::make_shared<Publication>();
+    publication->snapshot = manager.snapshot_view();
+    publication->rules = manager.rules();
+    for (const FlowView& flow : flows) publication->live.push_back(manager.query(flow));
+    const std::lock_guard<std::mutex> lock(mu);
+    latest = std::move(publication);
+  };
+  publish();
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> checked{0};
+  std::atomic<std::uint64_t> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      std::vector<std::shared_ptr<const Publication>> held;  // older epochs too
+      std::size_t round = 0;
+      while (!done.load(std::memory_order_acquire)) {
+        {
+          const std::lock_guard<std::mutex> lock(mu);
+          held.push_back(latest);
+        }
+        if (held.size() > 4) held.erase(held.begin() + static_cast<long>(round++ % 4));
+        for (const auto& publication : held) {
+          const PolicySnapshot& snapshot = *publication->snapshot;
+          for (std::size_t i = r; i < flows.size(); i += 2) {
+            const PolicyDecision got = snapshot.query(flows[i]);
+            const PolicyDecision& live = publication->live[i];
+            if (got.rule_id != live.rule_id || got.action != live.action ||
+                got.default_deny != live.default_deny ||
+                !oracle_agrees(snapshot, publication->rules, flows[i], got)) {
+              mismatches.fetch_add(1);
+            }
+            checked.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+
+  for (int round = 0; round < 200; ++round) {
+    if (ids.empty() || model.chance(0.5)) {
+      ids.push_back(manager.insert(model.random_rule(), model.random_priority(), "churn"));
+    } else {
+      std::swap(ids[static_cast<std::size_t>(round) % ids.size()], ids.back());
+      ASSERT_TRUE(manager.revoke(ids.back()));
+      ids.pop_back();
+    }
+    publish();
+  }
+  // Let the readers see the last publications before stopping them.
+  while (checked.load() < 20000) std::this_thread::yield();
+  done.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GT(checked.load(), 0u);
 }
 
 }  // namespace

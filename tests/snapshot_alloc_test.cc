@@ -1,10 +1,12 @@
-// Allocation guard for snapshot publication on a clean control plane.
+// Allocation guards for snapshot publication.
 //
 // Every threaded Packet-in burst captures the (ErmSnapshot, PolicySnapshot)
 // pair. When nothing mutated since the last capture, that must be a pair
-// of shared_ptr copies: no heap allocation at all. This binary replaces the
-// global operator new with a counting one, so it lives apart from the other
-// tests.
+// of shared_ptr copies: no heap allocation at all. After one policy insert
+// or revoke, publication path-copies a fixed set of index nodes, so it
+// allocates the same count whatever the rule count. This binary replaces
+// the global operator new with a counting one, so it lives apart from the
+// other tests.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -103,6 +105,53 @@ TEST_F(SnapshotAllocTest, RepeatDecisionPairCaptureAllocatesNothing) {
     EXPECT_EQ(again.policy.get(), first.policy.get());
   });
   EXPECT_EQ(allocs, 0u);
+}
+
+// Allocations of one insert + publication and of one revoke + publication
+// against a published manager holding `rules` rules. Rules pivot on
+// distinct source IPs over four priorities; the probe rule shares rule 0's
+// IP and lowest priority, so its insert sweeps no lower bucket and both
+// operations touch a populated posting page at every rule count.
+struct PublishAllocations {
+  std::uint64_t insert = 0;
+  std::uint64_t revoke = 0;
+};
+
+PublishAllocations publish_allocations(std::uint32_t rules) {
+  MessageBus bus;
+  PolicyManager manager(bus);
+  for (std::uint32_t i = 0; i < rules; ++i) {
+    PolicyRule rule;
+    rule.action = i % 2 == 0 ? PolicyAction::kAllow : PolicyAction::kDeny;
+    rule.source.ip = Ipv4Address(0x0a000000u + i);
+    manager.insert(rule, PdpPriority{1 + i % 4}, "base");
+  }
+  manager.snapshot_view();
+  PolicyRule probe;
+  probe.action = PolicyAction::kAllow;
+  probe.source.ip = Ipv4Address(0x0a000000u);
+  probe.destination.l4_port = 22;
+  PublishAllocations out;
+  PolicyRuleId id{};
+  out.insert = allocations_in([&] {
+    id = manager.insert(probe, PdpPriority{1}, "probe");
+    manager.snapshot_view();
+  });
+  out.revoke = allocations_in([&] {
+    manager.revoke(id);
+    manager.snapshot_view();
+  });
+  return out;
+}
+
+TEST(PolicyPublishAllocTest, InsertOrRevokePublicationAllocatesTheSameAt1kAnd10kRules) {
+  const PublishAllocations small = publish_allocations(1000);
+  const PublishAllocations large = publish_allocations(10000);
+  EXPECT_EQ(small.insert, large.insert);
+  EXPECT_EQ(small.revoke, large.revoke);
+  // A path copy is a handful of nodes, not a copy of the rule set.
+  EXPECT_LE(large.insert, 16u);
+  EXPECT_LE(large.revoke, 16u);
 }
 
 }  // namespace

@@ -5,6 +5,22 @@
 
 namespace dfi::test {
 
+PolicyDecision query_linear(const std::vector<StoredPolicyRule>& rules,
+                            const FlowView& flow) {
+  const StoredPolicyRule* best = nullptr;
+  for (const StoredPolicyRule& stored : rules) {
+    if (!stored.rule.matches(flow)) continue;
+    if (best == nullptr || stored.priority > best->priority) {
+      best = &stored;
+    } else if (stored.priority == best->priority &&
+               stored.rule.action == PolicyAction::kDeny &&
+               best->rule.action == PolicyAction::kAllow) {
+      best = &stored;  // equal-priority conflict: Deny wins
+    }
+  }
+  return decision_of(best);
+}
+
 ReferenceModel::ReferenceModel(MessageBus& system_bus)
     : erm_(private_bus_),
       policy_(private_bus_),
@@ -98,7 +114,7 @@ ModelVerdict ReferenceModel::decide(EndpointView src, EndpointView dst,
   flow.src = erm_.enrich(std::move(src));
   flow.dst = erm_.enrich(std::move(dst));
 
-  const PolicyDecision decision = policy_.query_linear(flow);
+  const PolicyDecision decision = query_linear(policy_.rules(), flow);
   verdict.allow = decision.action == PolicyAction::kAllow;
   verdict.default_deny = decision.default_deny;
   return verdict;

@@ -14,7 +14,7 @@
 //
 // The model compares verdict shape only (allow / spoofed / default-deny),
 // not the deciding rule id: among equally-ranked same-action rules the
-// tie-break is implementation freedom (see PolicyManager::query_linear).
+// tie-break is implementation freedom (see query_linear below).
 #pragma once
 
 #include <cstdint>
@@ -29,6 +29,15 @@
 #include "openflow/match.h"
 
 namespace dfi::test {
+
+// The policy oracle: the Policy Manager's query semantics as a full linear
+// scan over `rules` (ascending id, as PolicyManager::rules() returns them).
+// The differential-test oracle for the posting-list index and the scan
+// baseline of bench_micro_policy_index; semantically identical to
+// PolicyManager::query up to the choice among equally ranked same-action
+// rules (the scan keeps the lowest id).
+PolicyDecision query_linear(const std::vector<StoredPolicyRule>& rules,
+                            const FlowView& flow);
 
 // What the model predicts for one Packet-in.
 struct ModelVerdict {

@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # Repo check, split into stages so CI can run them as separate jobs:
 #
-#   tier1  configure + build + full ctest suite (the 590 tier-1 tests),
+#   tier1  configure + build + full ctest suite (the 593 tier-1 tests),
 #          then the proxy-datapath, scale-out, entity-plane and socket-
 #          datapath benches in smoke mode, each gated against its committed
 #          baseline under bench/baselines/
 #   asan   ASan+UBSan build (-DDFI_SANITIZE=ON) of the memory-sensitive
-#          component tests — including the proxy teardown regressions
+#          component tests — including the proxy teardown regressions and
+#          the policy snapshots that must outlive revoked rules
 #   tsan   TSan build (-DDFI_SANITIZE=thread) of the SPSC ring stress, the
-#          threaded shard-pool and bus tests
+#          threaded shard-pool and bus tests, and readers querying held
+#          policy snapshots while the control thread churns the index
 #   fuzz   the model-based invariant fuzz campaign (tests/support/
 #          fuzz_harness.cc): the full deterministic campaign on the plain
 #          build, plus bounded campaigns under ASan+UBSan and TSan.
@@ -105,14 +107,15 @@ if want asan; then
   echo "== sanitizer build (ASan+UBSan) =="
   cmake -B build-asan -S . -DDFI_SANITIZE=ON >/dev/null
   cmake --build build-asan -j "${JOBS}" --target \
-    policy_index_test decision_cache_test policy_manager_test erm_test \
-    intern_test pcp_test bus_test proxy_test flush_test \
+    policy_index_test snapshot_alloc_test decision_cache_test \
+    policy_manager_test erm_test intern_test pcp_test bus_test proxy_test flush_test \
     event_loop_test conman_test fault_socket_test socket_frontend_test \
     secure_channel_test wire_test
 
   echo "== sanitizer tests =="
   ./build-asan/tests/intern_test
   ./build-asan/tests/policy_index_test
+  ./build-asan/tests/snapshot_alloc_test
   ./build-asan/tests/decision_cache_test
   ./build-asan/tests/policy_manager_test
   ./build-asan/tests/erm_test
@@ -135,7 +138,7 @@ if want tsan; then
   echo "== sanitizer build (TSan, threaded backend) =="
   cmake -B build-tsan -S . -DDFI_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "${JOBS}" --target spsc_ring_test \
-    shard_pool_test bus_test proxy_test intern_test \
+    shard_pool_test bus_test proxy_test intern_test policy_index_test \
     event_loop_test conman_test
 
   echo "== sanitizer tests (TSan) =="
@@ -144,6 +147,9 @@ if want tsan; then
   ./build-tsan/tests/shard_pool_test
   ./build-tsan/tests/bus_test
   ./build-tsan/tests/proxy_test
+  # Copy-on-write policy index: shard-side readers of frozen versions vs
+  # the control thread's path copies and publications.
+  ./build-tsan/tests/policy_index_test --gtest_filter='PolicySnapshotTest.*'
   # The event loop's cross-thread surface: eventfd wakeup + posted-closure
   # handoff (the shard-pool egress injection path), exercised by the
   # loop-thread tests; conman adds timer-wheel reconnect races.
