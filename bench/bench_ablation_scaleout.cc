@@ -35,6 +35,7 @@
 #include "core/pcp.h"
 #include "harness/cbench.h"
 #include "harness/report.h"
+#include "host_info.h"
 #include "sim/stats.h"
 
 namespace dfi {
@@ -329,6 +330,7 @@ int run(bool smoke, const char* baseline_path) {
 
   std::ofstream out("BENCH_scaleout.json");
   out << "{\n";
+  dfi::bench::write_host_json(out);
   if (!smoke) {
     append_json(out, "simulated", simulated);
     out << ",\n";

@@ -50,6 +50,7 @@
 #include "core/entity_resolution.h"
 #include "core/pcp_decide.h"
 #include "core/policy_manager.h"
+#include "host_info.h"
 #include "net/packet.h"
 #include "testbed/scale_generator.h"
 
@@ -290,7 +291,9 @@ void write_json(const char* path, const std::vector<ScalePoint>& points,
                 const std::vector<PolicyPoint>& policy_points, double decision_ratio,
                 double publish_ratio, double policy_publish_ratio) {
   std::ofstream out(path);
-  out << "{\n  \"bench\": \"erm_scale\",\n  \"points\": [\n";
+  out << "{\n";
+  dfi::bench::write_host_json(out);
+  out << "  \"bench\": \"erm_scale\",\n  \"points\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const ScalePoint& p = points[i];
     out << "    {\"point\": \"" << p.name << "\", \"hosts\": " << p.hosts

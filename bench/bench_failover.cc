@@ -46,6 +46,7 @@
 #include "core/journal.h"
 #include "core/pcp.h"
 #include "core/persistence.h"
+#include "host_info.h"
 #include "net/asyncio/conman.h"
 #include "net/asyncio/event_loop.h"
 #include "net/packet.h"
@@ -396,8 +397,9 @@ struct BenchResults {
 
 void write_json(const char* path, const BenchResults& r) {
   std::ofstream out(path);
-  out << "{\n"
-      << "  \"baseline_records_per_s\": " << r.baseline.records_per_s << ",\n"
+  out << "{\n";
+  dfi::bench::write_host_json(out);
+  out << "  \"baseline_records_per_s\": " << r.baseline.records_per_s << ",\n"
       << "  \"inmem_records_per_s\": " << r.inmem.records_per_s << ",\n"
       << "  \"socket_records_per_s\": " << r.socket.records_per_s << ",\n"
       << "  \"inmem_overhead_ratio\": " << r.inmem_ratio << ",\n"

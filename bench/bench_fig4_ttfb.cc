@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "core/journal.h"
 #include "harness/report.h"
 #include "harness/ttfb.h"
 
@@ -25,7 +26,10 @@ int main() {
   report.columns({"rate", "no-DFI mean", "no-DFI sd", "DFI mean", "DFI sd",
                   "DFI drops", "paper ref"});
 
-  ProxyStats recovery_totals;
+  // Recovery counters summed over the DFI series, one total per owner.
+  HealthStats health_totals;
+  ProxyStats proxy_totals;
+  PcpStats pcp_totals;
   for (const double rate : rates) {
     TtfbConfig without;
     without.with_dfi = false;
@@ -39,15 +43,12 @@ int main() {
     with.duration = seconds(20.0);
     const TtfbResult dfi = run_ttfb_experiment(with);
 
-    recovery_totals.degraded_entries += dfi.proxy.degraded_entries;
-    recovery_totals.degraded_exits += dfi.proxy.degraded_exits;
-    recovery_totals.degraded_suppressed += dfi.proxy.degraded_suppressed;
-    recovery_totals.degraded_forwarded += dfi.proxy.degraded_forwarded;
-    recovery_totals.backoff_retries += dfi.proxy.backoff_retries;
-    recovery_totals.resync_clears += dfi.proxy.resync_clears;
-    recovery_totals.journal_replays += dfi.proxy.journal_replays;
-    recovery_totals.journal_records_replayed += dfi.proxy.journal_records_replayed;
-    recovery_totals.journal_torn_tails += dfi.proxy.journal_torn_tails;
+    health_totals.degraded_entries += dfi.health.degraded_entries;
+    health_totals.degraded_exits += dfi.health.degraded_exits;
+    health_totals.backoff_retries += dfi.health.backoff_retries;
+    proxy_totals.degraded_suppressed += dfi.proxy.degraded_suppressed;
+    proxy_totals.degraded_forwarded += dfi.proxy.degraded_forwarded;
+    pcp_totals.resync_clears += dfi.pcp.resync_clears;
 
     std::string paper_ref = "-";
     if (rate == 0) paper_ref = "no-DFI 4-6; DFI ~22";
@@ -57,14 +58,15 @@ int main() {
     report.row({Report::fmt(rate, 0), Report::fmt(base.ttfb_ms.mean()),
                 Report::fmt(base.ttfb_ms.stddev()), Report::fmt(dfi.ttfb_ms.mean()),
                 Report::fmt(dfi.ttfb_ms.stddev()),
-                std::to_string(dfi.control_plane_drops), paper_ref});
+                std::to_string(dfi.pcp.dropped_overload), paper_ref});
   }
   report.note("each row: 20 s run, probe every 250 ms; drops = PCP queue rejections");
   report.print();
 
   // Fault-free runs should show all-zero recovery counters — a nonzero row
   // here means a degraded window opened during the benchmark.
-  Report recovery = recovery_report(recovery_totals);
+  // The TTFB runs keep no journal, so its replay rows read zero.
+  Report recovery = recovery_report(health_totals, proxy_totals, pcp_totals, JournalStats{});
   recovery.note("summed over the DFI series above (health monitoring idle)");
   recovery.print();
   return 0;

@@ -32,6 +32,7 @@
 
 #include "common/frame_buffer_pool.h"
 #include "common/rng.h"
+#include "host_info.h"
 #include "openflow/wire.h"
 
 namespace dfi {
@@ -394,7 +395,9 @@ MixResult measure_mix(const Workload& workload, bool smoke) {
 
 void write_json(const char* path, const std::vector<MixResult>& results) {
   std::ofstream out(path);
-  out << "{\n  \"mixes\": [\n";
+  out << "{\n";
+  dfi::bench::write_host_json(out);
+  out << "  \"mixes\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const MixResult& r = results[i];
     out << "    {\"mix\": \"" << r.name << "\""

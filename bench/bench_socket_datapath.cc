@@ -39,6 +39,7 @@
 
 #include "common/frame_buffer_pool.h"
 #include "fault/fault_socket.h"
+#include "host_info.h"
 #include "net/asyncio/conman.h"
 #include "net/asyncio/connection.h"
 #include "net/asyncio/event_loop.h"
@@ -351,8 +352,9 @@ void write_json(const char* path, const std::vector<SweepResult>& sweep,
                 double inprocess_fps, double ratio_b64, double sealed_ns,
                 std::uint64_t sealed_allocations) {
   std::ofstream out(path);
-  out << "{\n"
-      << "  \"inprocess_frames_per_s_b64\": " << inprocess_fps << ",\n"
+  out << "{\n";
+  dfi::bench::write_host_json(out);
+  out << "  \"inprocess_frames_per_s_b64\": " << inprocess_fps << ",\n"
       << "  \"ratio_vs_inprocess_b64\": " << ratio_b64 << ",\n"
       << "  \"sealed_ns_per_record\": " << sealed_ns << ",\n"
       << "  \"sealed_steady_state_allocations\": " << sealed_allocations << ",\n"

@@ -8,8 +8,10 @@
 // the *next* mutation path-copies only the root page vector and the one
 // dirty page — O(changed), independent of table size.
 //
-// Race-freedom without use_count() probes (see the caveat in
-// common/snapshot.h): sharing is tracked by generation tags, not refcounts.
+// Race-freedom without use_count() probes: sharing is tracked by
+// generation tags, not refcounts. Observing a refcount of 1 from a relaxed
+// load does not order the former holder's reads before our writes, and
+// that boundary is exactly where refcount-probing copy-on-write goes racy.
 // `freeze()` — called by the owner every time it publishes a snapshot —
 // bumps the table's generation; a page (or the root) whose tag lags the
 // current generation may be referenced by some snapshot and is cloned
@@ -18,9 +20,11 @@
 // writes memory a snapshot can reach, so readers need no synchronization
 // beyond the snapshot handoff itself.
 //
-// Single-writer contract (same as common/snapshot.h): all mutation and
-// freezing happen on the control thread; reader threads only ever touch
-// frozen copies obtained through a published snapshot.
+// Single-writer contract: all mutation, freezing and publication happen on
+// the control thread that owns the table; reader threads only ever hold
+// `shared_ptr<const T>` snapshots handed out at publication, so the only
+// cross-thread traffic is the shared_ptr refcount. A snapshot no longer
+// held simply deallocates when its last holder drops it.
 //
 // `cow_writable` is the scheme's one primitive, shared by CowTable and the
 // policy index (core/policy_index.h): any node type with a `tag` member can

@@ -17,7 +17,7 @@
 //   * namespaces are independent: interning "alice" as a user and "alice"
 //     as a host yields two unrelated ids.
 //
-// Concurrency contract (mirrors common/snapshot.h): exactly one writer —
+// Concurrency contract (mirrors common/cow_table.h): exactly one writer —
 // the control thread — ever calls intern(). Concurrent readers (PCP shard
 // workers enriching against a published ErmSnapshot) may call
 //   * view()/key() for any id they obtained from a published snapshot or

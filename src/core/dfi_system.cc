@@ -31,7 +31,6 @@ void DfiSystem::pump() {
 void DfiSystem::enable_durability(Journal& journal) {
   policy_manager_.attach_journal(&journal);
   erm_.attach_journal(&journal);
-  proxy_.attach_journal_stats(&journal);
 }
 
 Result<JournalRecovery> DfiSystem::recover_from(Journal& journal) {

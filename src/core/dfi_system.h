@@ -11,7 +11,13 @@
 // one so every policy/binding mutation is journaled before it takes
 // effect, and recover_from() replays one into the empty managers inside an
 // explicit degraded window (fail-secure while the store is not yet
-// authoritative).
+// authoritative). After the window the monitor dwells in kRecovering for
+// recovering_hold of simulator time; in the socket deployment the frontend
+// tick advances that clock with wall time (src/net/asyncio/frontend.h).
+//
+// Each counter has one owner: recovery activity is read from health(),
+// pcp() and the journal's stats(); proxy().stats() holds what the proxy
+// itself counts.
 #pragma once
 
 #include <memory>
@@ -76,8 +82,8 @@ class DfiSystem {
 
   // Attach `journal` as the durable write-ahead log: every PolicyManager
   // insert/revoke and ERM binding event is appended (and synced) before it
-  // takes effect, and the proxy's stats() mirror its recovery counters.
-  // The journal must outlive this object.
+  // takes effect. Its replay counters stay in journal.stats(). The journal
+  // must outlive this object.
   void enable_durability(Journal& journal);
 
   // Replay `journal` into the (expected-empty) managers, holding an

@@ -57,14 +57,6 @@ bool posting_erase(CowTable<PostingListPtr>& table, EntityId key, EntityId id,
   return true;
 }
 
-const std::vector<EntityId>* list_of(const CowTable<PostingListPtr>& table,
-                                     EntityId key) {
-  if (!key.valid()) return nullptr;
-  const PostingListPtr* slot = table.find(key.value);
-  if (slot == nullptr || *slot == nullptr || (*slot)->empty()) return nullptr;
-  return slot->get();
-}
-
 // Deterministic snapshot order over the location map: keys sorted ascending.
 template <typename Map>
 auto sorted_keys(const Map& map) {
@@ -189,33 +181,27 @@ void EntityResolutionManager::apply(const BindingEvent& event) {
   // interned and must be findable by the live validate/enrich path (reader
   // threads use the capture taken at their snapshot's publication).
   identity_.ip_lookup = identity_.interner->ips().reader();
-  if (changed) {
-    ++epoch_;
-    // Any epoch bump must reach the next published snapshot, even when the
-    // identity tables themselves are untouched (a MAC move): decision
-    // caches compare against the snapshot's epoch stamp.
-    snapshot_cache_.invalidate();
-  }
+  // Any epoch bump republishes, even when the identity tables themselves
+  // are untouched (a MAC move): decision caches compare against the
+  // snapshot's epoch stamp.
+  if (changed) ++epoch_;
 }
 
 void EntityResolutionManager::advance_epoch_to(std::uint64_t epoch) {
-  if (epoch > epoch_) {
-    epoch_ = epoch;
-    snapshot_cache_.invalidate();
-  }
+  epoch_ = std::max(epoch_, epoch);
 }
 
 ErmSnapshot EntityResolutionManager::snapshot_view() const {
-  const auto tables = snapshot_cache_.get([this]() {
+  if (!published_.has_value() || published_->epoch() != epoch_) {
     ++stats_.snapshot_rebuilds;
     // O(changed), not O(total): freeze marks the paged tables shared and
     // the struct copy is six root pointers plus the interner handle. The
     // deep work — cloning the pages a future mutation dirties — happens
     // lazily, per page, on the control thread.
     identity_.freeze_all();
-    return std::make_shared<const ErmIdentityTables>(identity_);
-  });
-  return ErmSnapshot(tables, epoch_);
+    published_.emplace(std::make_shared<const ErmIdentityTables>(identity_), epoch_);
+  }
+  return *published_;
 }
 
 EndpointView EntityResolutionManager::enrich(EndpointView view) const {

@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "bus/message_bus.h"
-#include "common/snapshot.h"
 #include "core/erm_snapshot.h"
 #include "core/policy.h"
 #include "services/events.h"
@@ -112,10 +111,11 @@ class EntityResolutionManager {
 
   // Immutable snapshot of the identity bindings at the current epoch.
   // O(1): the paged tables are captured by root pointer and marked frozen;
-  // later mutations path-copy only what they touch. At most one capture
-  // per epoch-bumping mutation, no matter how many decisions run in
-  // between; first MAC-location sightings (see epoch()) reuse the cached
-  // capture untouched.
+  // later mutations path-copy only what they touch. The last publication
+  // is reused while its epoch is current: every identity-table change
+  // bumps the epoch, so at most one capture per epoch, no matter how many
+  // decisions run in between; first MAC-location sightings (see epoch())
+  // and redundant events reuse the last capture untouched.
   ErmSnapshot snapshot_view() const;
 
   // Every current binding, as assertion events (persistence snapshots and
@@ -167,7 +167,8 @@ class EntityResolutionManager {
 
   std::uint64_t epoch_ = 0;
   Journal* journal_ = nullptr;
-  mutable SnapshotCache<ErmIdentityTables> snapshot_cache_;
+  // Last publication; current while its epoch equals epoch_.
+  mutable std::optional<ErmSnapshot> published_;
   mutable ErmStats stats_;
 };
 

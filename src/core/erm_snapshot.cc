@@ -37,13 +37,6 @@ class ScratchIdBitmap {
   std::vector<std::uint64_t> words_;
 };
 
-const std::vector<EntityId>* list_of(const CowTable<PostingListPtr>& table,
-                                     EntityId id) {
-  const PostingListPtr* slot = table.find(id.value);
-  if (slot == nullptr || *slot == nullptr || (*slot)->empty()) return nullptr;
-  return slot->get();
-}
-
 }  // namespace
 
 EndpointView ErmIdentityTables::enrich(EndpointView view) const {

@@ -49,6 +49,16 @@ struct SpoofCheck {
 // a freshly built list, so published snapshots keep reading the old one.
 using PostingListPtr = std::shared_ptr<const std::vector<EntityId>>;
 
+// The non-empty posting list stored under `key`, or nullptr (an invalid
+// id, e.g. a name the interner has never seen, has none).
+inline const std::vector<EntityId>* list_of(const CowTable<PostingListPtr>& table,
+                                            EntityId key) {
+  if (!key.valid()) return nullptr;
+  const PostingListPtr* slot = table.find(key.value);
+  if (slot == nullptr || *slot == nullptr || (*slot)->empty()) return nullptr;
+  return slot->get();
+}
+
 // The identity-binding tables, shared structurally between the live ERM
 // (which path-copies on mutation) and published snapshots (frozen). Pure
 // queries live here so live and snapshot paths cannot drift apart.

@@ -16,8 +16,6 @@ HealthMonitor::HealthMonitor(Simulator& sim, MessageBus& bus, HealthConfig confi
           topics::kHealthHeartbeats,
           [this](const HeartbeatEvent& event) { heartbeat(event.component); })) {}
 
-HealthMonitor::~HealthMonitor() { *alive_ = false; }
-
 void HealthMonitor::watch(const std::string& component) {
   last_beat_.emplace(component, sim_.now());
   poll();
@@ -67,40 +65,6 @@ SimDuration HealthMonitor::backoff_delay(int attempt) {
   delay.us = static_cast<std::int64_t>(static_cast<double>(delay.us) * factor);
   if (delay.us < 1) delay.us = 1;
   return delay;
-}
-
-void HealthMonitor::supervise_reconnect(const std::string& name,
-                                        std::function<bool()> connect) {
-  if (connect()) return;
-  // First failure opens a degraded window that stays open until the
-  // reconnect lands (or is abandoned): whatever this connection fed —
-  // sensor events, controller session — is not flowing.
-  enter_degraded("reconnect:" + name);
-  reconnect_attempt(name, std::make_shared<std::function<bool()>>(std::move(connect)),
-                    0);
-}
-
-void HealthMonitor::reconnect_attempt(const std::string& name,
-                                      std::shared_ptr<std::function<bool()>> connect,
-                                      int attempt) {
-  if (config_.max_reconnect_attempts > 0 &&
-      attempt >= config_.max_reconnect_attempts) {
-    ++stats_.reconnects_abandoned;
-    DFI_WARN << "health: reconnect of " << name << " abandoned after " << attempt
-             << " attempts";
-    exit_degraded("reconnect:" + name);
-    return;
-  }
-  sim_.schedule_after(
-      backoff_delay(attempt), [this, alive = alive_, name, connect, attempt] {
-        if (!*alive) return;
-        ++stats_.backoff_retries;
-        if ((*connect)()) {
-          exit_degraded("reconnect:" + name);
-          return;
-        }
-        reconnect_attempt(name, connect, attempt + 1);
-      });
 }
 
 void HealthMonitor::enable_failover(ReplicaRole role,
@@ -235,22 +199,6 @@ bool HealthMonitor::gating() {
 
 void HealthMonitor::on_transition(TransitionCallback callback) {
   transition_callbacks_.push_back(std::move(callback));
-}
-
-void HealthMonitor::start() {
-  if (ticking_) return;
-  ticking_ = true;
-  schedule_tick();
-}
-
-void HealthMonitor::stop() { ticking_ = false; }
-
-void HealthMonitor::schedule_tick() {
-  sim_.schedule_after(config_.check_interval, [this, alive = alive_] {
-    if (!*alive || !ticking_) return;
-    poll();
-    schedule_tick();
-  });
 }
 
 }  // namespace dfi

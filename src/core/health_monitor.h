@@ -13,8 +13,10 @@
 //   * subsystems hold explicit degraded windows (ref-counted) around
 //     operations during which decisions must not be trusted: journal
 //     replay, dead-shard recovery;
-//   * supervised reconnects retry with capped, jittered exponential
-//     backoff (thundering-herd hygiene even in a simulator).
+//   * the socket transport's supervised reconnects (ConnectionManager::
+//     dial_supervised, src/net/asyncio/conman.h) draw their capped,
+//     jittered exponential backoff from backoff_delay() and ledger their
+//     retries here.
 //
 // State machine:  kHealthy -> kDegraded -> kRecovering -> kHealthy
 //
@@ -34,17 +36,18 @@
 // flushes missed across the degraded window cannot be trusted, so flows
 // re-enter via Packet-in and are re-decided against current state.
 //
-// The monitor never schedules simulator events on its own unless start()
-// is called (and stop() cancels): existing experiments drain the DES with
-// run(), and a self-rescheduling watchdog would keep it alive forever.
+// The monitor never schedules simulator events: experiments drain the DES
+// with run(), and a self-rescheduling watchdog would keep it alive forever.
 // State is re-evaluated lazily on every mutation and on every gating
 // query, which is exactly the set of points where staleness could matter.
+// Its clock is the simulator's; in the socket deployment with monitoring
+// enabled, the frontend tick advances that clock with wall time and polls
+// (src/net/asyncio/frontend.h).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -100,14 +103,12 @@ struct HealthConfig {
   SimDuration heartbeat_deadline = seconds(3.0);
   // Dwell in kRecovering before declaring kHealthy (anti-flap).
   SimDuration recovering_hold = seconds(1.0);
-  // Periodic re-evaluation interval used by start().
-  SimDuration check_interval = seconds(1.0);
 
   // Capped jittered exponential backoff for supervised reconnects.
   SimDuration backoff_base = milliseconds(100);
   SimDuration backoff_cap = seconds(30.0);
   double backoff_jitter = 0.5;  // uniform in [1-j, 1+j] applied to the delay
-  int max_reconnect_attempts = 20;  // 0 = unlimited (caller bounds the sim)
+  int max_reconnect_attempts = 20;  // 0 = unlimited
 
   // A standby whose peer heartbeat is older than this starts promotion.
   // Deliberately separate from heartbeat_deadline: the replication stream
@@ -133,7 +134,6 @@ class HealthMonitor {
   using TransitionCallback = std::function<void(HealthState from, HealthState to)>;
 
   HealthMonitor(Simulator& sim, MessageBus& bus, HealthConfig config, Rng rng);
-  ~HealthMonitor();
 
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
@@ -162,19 +162,13 @@ class HealthMonitor {
                     std::function<std::size_t()> respawn);
 
   // ------------------------------------------------------------ reconnect
-  // Attempt `connect` now; while it returns false, retry after
-  // backoff_delay(attempt). Gives up (and counts reconnects_abandoned)
-  // after max_reconnect_attempts.
-  void supervise_reconnect(const std::string& name, std::function<bool()> connect);
-
   // Capped jittered exponential backoff delay for the given 0-based
   // attempt number.
   SimDuration backoff_delay(int attempt);
 
-  // Wall-clock reconnect supervisors (src/net/asyncio/conman.cc) mirror
-  // supervise_reconnect on the event-loop timer wheel instead of the
-  // simulator; they account their attempts here so HealthStats stays the
-  // single ledger of reconnect activity regardless of transport.
+  // The reconnect supervisor (ConnectionManager::dial_supervised) runs on
+  // the event-loop timer wheel and accounts its attempts here, so
+  // HealthStats is the one ledger of reconnect activity.
   void count_backoff_retry() { ++stats_.backoff_retries; }
   void count_reconnect_abandoned() { ++stats_.reconnects_abandoned; }
 
@@ -216,11 +210,6 @@ class HealthMonitor {
   // transition to kHealthy). Callbacks run synchronously inside poll().
   void on_transition(TransitionCallback callback);
 
-  // Periodic polling for closed-loop runs: start() schedules a repeating
-  // poll every check_interval until stop(). Never started implicitly.
-  void start();
-  void stop();
-
   const HealthStats& stats() const { return stats_; }
 
  private:
@@ -229,10 +218,6 @@ class HealthMonitor {
   // The handover itself: kPromoting + degraded window around on_promote_.
   void run_promotion();
   bool peer_stale() const;
-  void schedule_tick();
-  void reconnect_attempt(const std::string& name,
-                         std::shared_ptr<std::function<bool()>> connect,
-                         int attempt);
 
   Simulator& sim_;
   MessageBus& bus_;
@@ -253,11 +238,7 @@ class HealthMonitor {
   HealthState state_ = HealthState::kHealthy;
   SimTime recovering_since_{};
   std::vector<TransitionCallback> transition_callbacks_;
-  bool ticking_ = false;
   bool in_poll_ = false;
-  // Scheduled retries/ticks capture this token instead of trusting `this`
-  // to outlive the simulator queue (same pattern as DfiProxy sessions).
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   HealthStats stats_;
 };
 

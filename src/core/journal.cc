@@ -28,21 +28,6 @@ std::uint32_t read_u32(const std::uint8_t* p) {
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::string current;
-  for (const char c : text) {
-    if (c == sep) {
-      parts.push_back(current);
-      current.clear();
-    } else {
-      current += c;
-    }
-  }
-  parts.push_back(current);
-  return parts;
-}
-
 Status malformed(const std::string& what) {
   return Status::Fail(ErrorCode::kMalformed, "journal: " + what);
 }

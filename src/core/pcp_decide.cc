@@ -8,6 +8,13 @@
 namespace dfi {
 namespace {
 
+// Shape of every Table-0 rule. The proxy shifts the controller's tables up
+// by exactly one (core/proxy.h), so the controller's first table is table
+// 1: an allowed flow must continue there, and any other goto target would
+// send it past (or short of) the controller's pipeline.
+constexpr std::uint16_t kTable0RulePriority = 100;
+constexpr std::uint8_t kControllerFirstTable = 1;
+
 PolicyDecision default_deny_decision() {
   return PolicyDecision{PolicyAction::kDeny, PolicyRuleId{kDefaultDenyCookie.value},
                         /*default_deny=*/true};
@@ -28,16 +35,16 @@ DecisionInput make_decision_input(Dpid dpid, const PacketInMsg& msg) {
 }
 
 FlowModMsg compile_exact_rule(const Packet& packet, PortNo in_port, bool allow,
-                              Cookie cookie, const PcpConfig& config) {
+                              Cookie cookie) {
   FlowModMsg mod;
   mod.command = FlowModCommand::kAdd;
   mod.table_id = 0;  // DFI's reserved table
-  mod.priority = config.rule_priority;
+  mod.priority = kTable0RulePriority;
   mod.cookie = cookie;
   // Exact match: every identifier available in the packet is specified so
   // each new flow gets its own policy check (Section III-B).
   mod.match = Match::exact_from_packet(packet, in_port);
-  mod.instructions = allow ? Instructions::to_table(config.controller_first_table)
+  mod.instructions = allow ? Instructions::to_table(kControllerFirstTable)
                            : Instructions::drop();
   return mod;
 }
@@ -116,8 +123,7 @@ DecisionEffects decide_on_snapshots(const DecisionInput& input,
     decision.allow = false;
     decision.policy = default_deny_decision();
     decision.installed_rule = compile_exact_rule(packet, input.in_port,
-                                                 /*allow=*/false,
-                                                 kDefaultDenyCookie, config);
+                                                 /*allow=*/false, kDefaultDenyCookie);
     effects.has_rule = true;
     effects.spoof_reason = spoof.reason;
     cache.store(input.flow_key, decision, policy_epoch, binding_epoch);
@@ -139,7 +145,7 @@ DecisionEffects decide_on_snapshots(const DecisionInput& input,
 
   decision.installed_rule =
       compile_exact_rule(packet, input.in_port, decision.allow,
-                         Cookie{decision.policy.rule_id.value}, config);
+                         Cookie{decision.policy.rule_id.value});
   effects.has_rule = true;
 
   // Wildcard caching extension: replace the exact match with a safe

@@ -56,10 +56,6 @@ struct PcpConfig {
   std::size_t shards = 1;
   PcpBackend backend = PcpBackend::kSimulated;
 
-  // Flow-rule shape.
-  std::uint16_t rule_priority = 100;
-  std::uint8_t controller_first_table = 1;  // allow -> goto this table
-
   // kSimulated only: component service times in ms (paper Table II). Set
   // zero_latency for functional tests where timing is irrelevant.
   double binding_query_mean_ms = 2.41;
@@ -139,9 +135,11 @@ struct DecisionEffects {
 DecisionInput make_decision_input(Dpid dpid, const PacketInMsg& msg);
 
 // Compile the exact-match Table-0 rule for `packet` (every identifier
-// available in the packet is specified — Section III-B).
+// available in the packet is specified — Section III-B). An allow rule
+// continues in the controller's first table, which the proxy's one-table
+// shift places at table 1.
 FlowModMsg compile_exact_rule(const Packet& packet, PortNo in_port, bool allow,
-                              Cookie cookie, const PcpConfig& config);
+                              Cookie cookie);
 
 // The pure access-control decision: spoof validation, enrichment (late
 // binding), policy query (default deny), rule compilation — all against the

@@ -6,21 +6,6 @@
 namespace dfi {
 namespace {
 
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::string current;
-  for (const char c : text) {
-    if (c == sep) {
-      parts.push_back(current);
-      current.clear();
-    } else {
-      current += c;
-    }
-  }
-  parts.push_back(current);
-  return parts;
-}
-
 Result<std::size_t> fail_line(std::size_t line, const std::string& what) {
   return Result<std::size_t>::Fail(
       ErrorCode::kMalformed, "line " + std::to_string(line) + ": " + what);
@@ -82,6 +67,21 @@ Result<T> fail_parse(const std::string& what) {
 }
 
 }  // namespace
+
+std::vector<std::string> split(const std::string& text, char sep) {
+  std::vector<std::string> parts;
+  std::string current;
+  for (const char c : text) {
+    if (c == sep) {
+      parts.push_back(current);
+      current.clear();
+    } else {
+      current += c;
+    }
+  }
+  parts.push_back(current);
+  return parts;
+}
 
 std::string policy_rule_line(const StoredPolicyRule& stored) {
   std::ostringstream out;

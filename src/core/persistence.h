@@ -15,6 +15,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "core/entity_resolution.h"
@@ -82,5 +83,9 @@ std::string binding_event_line(const BindingEvent& event);
 
 // Parse one binding line into an assertion event.
 Result<BindingEvent> parse_binding_event_line(const std::string& line);
+
+// `text` cut at every `sep`; n separators give n + 1 fields (empty ones
+// included). The field splitter of both text formats.
+std::vector<std::string> split(const std::string& text, char sep);
 
 }  // namespace dfi

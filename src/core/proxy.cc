@@ -2,7 +2,6 @@
 
 #include "common/logging.h"
 #include "core/health_monitor.h"
-#include "core/journal.h"
 
 namespace dfi {
 
@@ -26,22 +25,11 @@ DfiProxy::~DfiProxy() {
 }
 
 const ProxyStats& DfiProxy::stats() const {
-  // Counters owned elsewhere are mirrored on read so ProxyStats stays one
-  // flat struct for tests, benches and the harness recovery report.
+  // The buffer pool's counters are mirrored on read (perfbench reads them
+  // beside the frame counters).
   const FrameBufferPool::Stats pool = pool_.stats();
   stats_.pool_acquires = pool.acquires;
   stats_.pool_reuses = pool.reuses;
-  stats_.resync_clears = pcp_.stats().resync_clears;
-  if (health_ != nullptr) {
-    stats_.degraded_entries = health_->stats().degraded_entries;
-    stats_.degraded_exits = health_->stats().degraded_exits;
-    stats_.backoff_retries = health_->stats().backoff_retries;
-  }
-  if (journal_ != nullptr) {
-    stats_.journal_replays = journal_->stats().replays;
-    stats_.journal_records_replayed = journal_->stats().records_replayed;
-    stats_.journal_torn_tails = journal_->stats().torn_tails_truncated;
-  }
   return stats_;
 }
 

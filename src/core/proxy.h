@@ -38,7 +38,6 @@
 namespace dfi {
 
 class HealthMonitor;
-class Journal;
 
 struct ProxyConfig {
   // Per-message proxy processing time (paper Table II: 0.16 ms ± 0.72 ms),
@@ -80,19 +79,11 @@ struct ProxyStats {
   std::uint64_t pool_acquires = 0;
   std::uint64_t pool_reuses = 0;
 
-  // Recovery behavior (DESIGN.md §6). The first two are counted by the
-  // proxy's degraded-mode gate; the rest are mirrored by DfiProxy::stats()
-  // from the attached HealthMonitor, Journal and PCP so one struct tells
-  // the whole failure-time story (harness recovery_report).
+  // The proxy's degraded-mode gate (DESIGN.md §6). Degraded windows,
+  // reconnect retries, Table-0 resyncs and journal replays are counted by
+  // their owners: HealthStats, PcpStats and JournalStats.
   std::uint64_t degraded_suppressed = 0;  // fail-secure: denied while degraded
   std::uint64_t degraded_forwarded = 0;   // fail-open: undecided, to controller
-  std::uint64_t degraded_entries = 0;
-  std::uint64_t degraded_exits = 0;
-  std::uint64_t backoff_retries = 0;
-  std::uint64_t resync_clears = 0;
-  std::uint64_t journal_replays = 0;
-  std::uint64_t journal_records_replayed = 0;
-  std::uint64_t journal_torn_tails = 0;
 
   double pool_hit_rate() const {
     return pool_acquires == 0 ? 1.0
@@ -221,8 +212,6 @@ class DfiProxy {
   // them to the controller undecided. Detached (nullptr) or disabled
   // monitoring leaves the pre-existing behavior untouched.
   void attach_health(HealthMonitor* health) { health_ = health; }
-  // Observe a journal's recovery counters through stats() (read-only).
-  void attach_journal_stats(const Journal* journal) { journal_ = journal; }
 
   const ProxyStats& stats() const;
   const SampleStats& latency_ms() const { return latency_ms_; }
@@ -241,7 +230,6 @@ class DfiProxy {
   Simulator& sim_;
   PolicyCompilationPoint& pcp_;
   HealthMonitor* health_ = nullptr;
-  const Journal* journal_ = nullptr;
   ProxyConfig config_;
   Rng rng_;
   // Table II proxy latency distribution, derived once from the configured

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "core/health_monitor.h"
+#include "core/journal.h"
+#include "core/pcp.h"
 #include "core/proxy.h"
 
 namespace dfi {
@@ -49,23 +52,24 @@ void Report::print() const {
   std::printf("\n");
 }
 
-Report recovery_report(const ProxyStats& stats) {
+Report recovery_report(const HealthStats& health, const ProxyStats& proxy,
+                       const PcpStats& pcp, const JournalStats& journal) {
   Report report("Recovery & degraded-mode summary");
   report.columns({"counter", "value"});
   const auto row = [&report](const char* name, std::uint64_t value) {
     report.row({name, std::to_string(value)});
   };
-  row("degraded entries", stats.degraded_entries);
-  row("degraded exits", stats.degraded_exits);
+  row("degraded entries", health.degraded_entries);
+  row("degraded exits", health.degraded_exits);
   row("packet-ins suppressed while degraded (fail-secure)",
-      stats.degraded_suppressed);
+      proxy.degraded_suppressed);
   row("packet-ins forwarded while degraded (fail-open)",
-      stats.degraded_forwarded);
-  row("reconnect backoff retries", stats.backoff_retries);
-  row("table-0 resync clears", stats.resync_clears);
-  row("journal replays", stats.journal_replays);
-  row("journal records replayed", stats.journal_records_replayed);
-  row("journal torn tails truncated", stats.journal_torn_tails);
+      proxy.degraded_forwarded);
+  row("reconnect backoff retries", health.backoff_retries);
+  row("table-0 resync clears", pcp.resync_clears);
+  row("journal replays", journal.replays);
+  row("journal records replayed", journal.records_replayed);
+  row("journal torn tails truncated", journal.torn_tails_truncated);
   return report;
 }
 

@@ -8,6 +8,9 @@
 
 namespace dfi {
 
+struct HealthStats;
+struct JournalStats;
+struct PcpStats;
 struct ProxyStats;
 
 class Report {
@@ -31,9 +34,11 @@ class Report {
 };
 
 // Recovery/degradation summary (DESIGN.md §6): renders the failure-time
-// counters DfiProxy::stats() mirrors from the HealthMonitor, Journal and
-// PCP — degraded window entries/exits, gated Packet-in outcomes, reconnect
-// backoff retries, Table-0 resync clears and journal replay activity.
-Report recovery_report(const ProxyStats& stats);
+// counters, each read from its owner — degraded window entries/exits and
+// reconnect backoff retries (HealthMonitor), gated Packet-in outcomes
+// (DfiProxy), Table-0 resync clears (PCP) and journal replay activity
+// (Journal).
+Report recovery_report(const HealthStats& health, const ProxyStats& proxy,
+                       const PcpStats& pcp, const JournalStats& journal);
 
 }  // namespace dfi

@@ -114,8 +114,9 @@ TtfbResult run_ttfb_experiment(const TtfbConfig& config) {
 
   result.background_flows = *bg_count;
   if (dfi != nullptr) {
-    result.control_plane_drops = dfi->pcp().stats().dropped_overload;
     result.proxy = dfi->proxy().stats();
+    result.health = dfi->health().stats();
+    result.pcp = dfi->pcp().stats();
   }
   return result;
 }

@@ -19,6 +19,8 @@
 #include <cstdint>
 
 #include "common/sim_time.h"
+#include "core/health_monitor.h"
+#include "core/pcp.h"
 #include "core/proxy.h"
 #include "sim/stats.h"
 
@@ -40,10 +42,12 @@ struct TtfbResult {
   int probes_sent = 0;
   int probes_failed = 0;      // timed out entirely
   std::uint64_t background_flows = 0;
-  std::uint64_t control_plane_drops = 0;  // PCP queue rejections
-  // Full proxy counters at end of run (with_dfi only), including the
-  // recovery/degradation mirrors — feed to recovery_report().
+  // End-of-run counters of the DFI components (with_dfi only), each from
+  // its owner — feed to recovery_report(). PCP queue rejections are
+  // pcp.dropped_overload. The run keeps no journal.
   ProxyStats proxy;
+  HealthStats health;
+  PcpStats pcp;
 };
 
 TtfbResult run_ttfb_experiment(const TtfbConfig& config);

@@ -254,8 +254,7 @@ void ConnectionManager::try_supervised(std::shared_ptr<SupervisedDial> state) {
          }
          // First failure opens a degraded window (fail-secure: whatever this
          // link fed is not flowing) that stays open until the reconnect
-         // lands or is abandoned — the same protocol as
-         // HealthMonitor::supervise_reconnect.
+         // lands or is abandoned.
          if (!state->degraded_held) {
            state->degraded_held = true;
            if (health_ != nullptr) health_->enter_degraded(window);

@@ -29,6 +29,8 @@ Result<std::uint16_t> SocketFrontend::start() {
                              const std::string& peer_ip) {
         if (*alive) on_switch_accepted(std::move(conn), peer_ip);
       });
+  sim_origin_ = system_.sim().now();
+  wall_origin_ = std::chrono::steady_clock::now();
   if (port.ok()) arm_tick();
   return port;
 }
@@ -220,6 +222,16 @@ void SocketFrontend::arm_tick() {
   loop_.schedule_after_ms(config_.tick_ms, [this, alive = alive_] {
     if (!*alive) return;
     system_.pump();
+    // The simulator clock is the health monitor's: advance it with wall
+    // time so heartbeat deadlines and the recovering hold elapse. With
+    // monitoring off it stays put, since the ungated state machine would
+    // still reach kHealthy and resync Table 0 on every switch unasked.
+    if (system_.health().config().enabled) {
+      const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - wall_origin_);
+      const SimTime wall_now = sim_origin_ + microseconds(elapsed.count());
+      if (wall_now > system_.sim().now()) system_.sim().run_until(wall_now);
+    }
     system_.health().poll();
     flush_dirty();
     arm_tick();

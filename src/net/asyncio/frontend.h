@@ -30,6 +30,7 @@
 // (Table-0 resync on recovery).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -50,9 +51,12 @@ struct FrontendConfig {
   std::string controller_ip = "127.0.0.1";
   std::uint16_t controller_port = 6653;
   ConmanConfig conman;
-  // Periodic DfiSystem::pump() + HealthMonitor::poll() tick on the timer
-  // wheel: drains threaded-backend completions that finish between read
-  // batches and keeps heartbeat deadlines evaluated. 0 disables.
+  // Periodic tick on the timer wheel: DfiSystem::pump() drains threaded-
+  // backend completions that finish between read batches; with health
+  // monitoring enabled the simulator clock (the monitor's clock) is
+  // advanced to the wall time elapsed since start(), so heartbeat
+  // deadlines and the recovering hold elapse in real time; then
+  // HealthMonitor::poll() evaluates them. 0 disables.
   std::uint64_t tick_ms = 1;
 };
 
@@ -111,6 +115,10 @@ class SocketFrontend {
   std::unordered_set<std::uint64_t> dirty_peers_;
   std::uint64_t next_peer_id_ = 1;
   FrontendStats stats_;
+  // Simulator time and wall time at start(): the tick keeps the simulator
+  // clock at least sim_origin_ + (wall now - wall_origin_).
+  SimTime sim_origin_{};
+  std::chrono::steady_clock::time_point wall_origin_{};
 
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };

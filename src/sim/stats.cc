@@ -16,7 +16,17 @@ void SampleStats::add(double value) {
     min_ = std::min(min_, value);
     max_ = std::max(max_, value);
   }
-  samples_.push_back(value);
+  if (samples_.size() < kMaxRetained) {
+    samples_.push_back(value);
+  } else {
+    // Algorithm R: keep the count_-th sample with probability
+    // kMaxRetained / count_, in a uniformly chosen slot. The slot order
+    // does not matter (percentile() sorts), so a sorted reservoir is fine.
+    const auto slot = static_cast<std::uint64_t>(
+        reservoir_rng_.uniform_int(0, static_cast<std::int64_t>(count_) - 1));
+    if (slot >= kMaxRetained) return;
+    samples_[slot] = value;
+  }
   sorted_ = false;
 }
 

@@ -212,9 +212,9 @@ TEST(ConmanTest, DialToClosedPortFails) {
 
 // Supervised reconnect: a HealthMonitor whose config makes the protocol
 // fast — 1ms base backoff, two attempts — so the whole supervised window
-// runs inside the test. The conman must mirror supervise_reconnect: enter a
-// degraded window on the first failure, ledger each retry, abandon after
-// max_reconnect_attempts, and close the window either way.
+// runs inside the test. The conman must enter a degraded window on the
+// first failure, ledger each retry, abandon after max_reconnect_attempts,
+// and close the window either way.
 TEST(ConmanTest, SupervisedDialAbandonsAfterCappedBackoff) {
   Simulator sim;
   MessageBus bus;
@@ -238,7 +238,7 @@ TEST(ConmanTest, SupervisedDialAbandonsAfterCappedBackoff) {
   EXPECT_EQ(result, nullptr);
   EXPECT_EQ(conman.stats().reconnects_abandoned, 1u);
   EXPECT_GE(conman.stats().reconnect_attempts, 1u);
-  // The ledger lands in HealthStats exactly as supervise_reconnect's would.
+  // The ledger lands in HealthStats.
   EXPECT_EQ(health.stats().reconnects_abandoned, 1u);
   EXPECT_GE(health.stats().backoff_retries, 1u);
   EXPECT_EQ(health.stats().degraded_entries, 1u);
@@ -285,6 +285,40 @@ TEST(ConmanTest, SupervisedDialRecoversWhenListenerAppears) {
   EXPECT_EQ(health.stats().reconnects_abandoned, 0u);
   EXPECT_EQ(health.degraded_refs(), 0u);
   EXPECT_EQ(health.stats().degraded_entries, 1u);
+}
+
+TEST(ConmanTest, SupervisedDialFirstTrySuccessOpensNoWindow) {
+  Simulator sim;
+  MessageBus bus;
+  HealthConfig hconfig;
+  hconfig.enabled = true;
+  HealthMonitor health(sim, bus, hconfig, Rng(3));
+
+  EventLoop loop;
+  ConnectionManager conman(loop, {}, &health);
+  std::vector<std::unique_ptr<Connection>> accepted;
+  auto port = conman.listen("127.0.0.1", 0,
+                            [&](std::unique_ptr<Connection> conn, const std::string&) {
+                              accepted.push_back(std::move(conn));
+                            });
+  ASSERT_TRUE(port.ok()) << port.error().message;
+
+  bool called = false;
+  std::unique_ptr<Connection> result;
+  conman.dial_supervised("controller-link:test", "127.0.0.1", port.value(),
+                         [&](std::unique_ptr<Connection> conn) {
+                           called = true;
+                           result = std::move(conn);
+                         });
+  ASSERT_TRUE(pump_until(loop, [&] { return called; }));
+  ASSERT_NE(result, nullptr);
+  EXPECT_TRUE(result->open());
+  // A link that comes up on the first try never degrades and never retries.
+  EXPECT_EQ(conman.stats().reconnect_attempts, 0u);
+  EXPECT_EQ(health.stats().backoff_retries, 0u);
+  EXPECT_EQ(health.stats().degraded_entries, 0u);
+  EXPECT_EQ(health.degraded_refs(), 0u);
+  EXPECT_EQ(health.state(), HealthState::kHealthy);
 }
 
 TEST(ConmanTest, ReconnectBackoffIsReplayableBoundedAndResets) {

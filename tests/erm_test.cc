@@ -393,5 +393,43 @@ TEST_F(ErmTest, RedundantEventCausesNoPageCopies) {
   EXPECT_EQ(erm_.cow_stats().page_copies, before.page_copies);
 }
 
+// The ERM republishes exactly when its epoch moves: every identity-table
+// change bumps the epoch, and an epoch bump with untouched tables (a MAC
+// move, advance_epoch_to) must still reach decision caches through the
+// snapshot's stamp. Anything else reuses the last publication.
+TEST_F(ErmTest, PublicationFollowsTheEpoch) {
+  erm_.apply(ip_mac(Ipv4Address(10, 0, 0, 7), MacAddress::from_u64(7)));
+  erm_.apply(mac_location(MacAddress::from_u64(7), Dpid{1}, PortNo{3}));
+  const ErmSnapshot first = erm_.snapshot_view();
+  const std::uint64_t rebuilds = erm_.stats().snapshot_rebuilds;
+  EXPECT_EQ(first.epoch(), erm_.epoch());
+
+  // A first MAC-location sighting and a redundant event: same publication.
+  erm_.apply(mac_location(MacAddress::from_u64(8), Dpid{1}, PortNo{4}));
+  erm_.apply(ip_mac(Ipv4Address(10, 0, 0, 7), MacAddress::from_u64(7)));
+  const ErmSnapshot reused = erm_.snapshot_view();
+  EXPECT_EQ(&reused.tables(), &first.tables());
+  EXPECT_EQ(reused.epoch(), first.epoch());
+  EXPECT_EQ(erm_.stats().snapshot_rebuilds, rebuilds);
+
+  // A MAC move: new epoch, republished once.
+  erm_.apply(mac_location(MacAddress::from_u64(7), Dpid{1}, PortNo{5}));
+  const ErmSnapshot moved = erm_.snapshot_view();
+  EXPECT_GT(moved.epoch(), first.epoch());
+  EXPECT_EQ(moved.epoch(), erm_.epoch());
+  EXPECT_EQ(erm_.stats().snapshot_rebuilds, rebuilds + 1);
+  (void)erm_.snapshot_view();
+  EXPECT_EQ(erm_.stats().snapshot_rebuilds, rebuilds + 1);
+
+  // advance_epoch_to: republished at the new epoch; a lower target is a no-op.
+  erm_.advance_epoch_to(erm_.epoch() + 10);
+  const ErmSnapshot advanced = erm_.snapshot_view();
+  EXPECT_EQ(advanced.epoch(), moved.epoch() + 10);
+  EXPECT_EQ(erm_.stats().snapshot_rebuilds, rebuilds + 2);
+  erm_.advance_epoch_to(1);
+  EXPECT_EQ(erm_.snapshot_view().epoch(), advanced.epoch());
+  EXPECT_EQ(erm_.stats().snapshot_rebuilds, rebuilds + 2);
+}
+
 }  // namespace
 }  // namespace dfi

@@ -1,5 +1,5 @@
-// Tests for the HealthMonitor degradation state machine, supervised
-// reconnect backoff, and the proxy's fail-secure/fail-open degraded gate
+// Tests for the HealthMonitor degradation state machine, its reconnect
+// backoff schedule, and the proxy's fail-secure/fail-open degraded gate
 // (DESIGN.md §6).
 #include <gtest/gtest.h>
 
@@ -240,56 +240,6 @@ TEST_F(HealthMonitorTest, BackoffIsCappedExponentialWithBoundedJitter) {
   }
 }
 
-TEST_F(HealthMonitorTest, SupervisedReconnectRetriesUntilSuccess) {
-  int calls = 0;
-  monitor_.supervise_reconnect("controller", [&calls] {
-    ++calls;
-    return calls >= 4;  // immediate try + 3 scheduled retries
-  });
-  EXPECT_EQ(monitor_.state(), HealthState::kDegraded);  // window open
-  sim_.run();
-  EXPECT_EQ(calls, 4);
-  EXPECT_EQ(monitor_.stats().backoff_retries, 3u);
-  EXPECT_EQ(monitor_.degraded_refs(), 0u);  // window closed on success
-  EXPECT_EQ(monitor_.stats().reconnects_abandoned, 0u);
-}
-
-TEST_F(HealthMonitorTest, SupervisedReconnectImmediateSuccessNeverDegrades) {
-  monitor_.supervise_reconnect("controller", [] { return true; });
-  EXPECT_EQ(monitor_.state(), HealthState::kHealthy);
-  EXPECT_EQ(monitor_.stats().backoff_retries, 0u);
-}
-
-TEST_F(HealthMonitorTest, SupervisedReconnectAbandonsAfterMaxAttempts) {
-  HealthConfig config = enabled_config();
-  config.max_reconnect_attempts = 3;
-  HealthMonitor monitor(sim_, bus_, config, Rng(11));
-  int calls = 0;
-  monitor.supervise_reconnect("siem", [&calls] {
-    ++calls;
-    return false;
-  });
-  sim_.run();
-  EXPECT_EQ(calls, 4);  // immediate + 3 retries
-  EXPECT_EQ(monitor.stats().backoff_retries, 3u);
-  EXPECT_EQ(monitor.stats().reconnects_abandoned, 1u);
-  EXPECT_EQ(monitor.degraded_refs(), 0u);  // window released on abandonment
-}
-
-TEST_F(HealthMonitorTest, PeriodicTickPollsUntilStopped) {
-  monitor_.watch("feed");
-  monitor_.start();
-  // The tick chain re-evaluates without any explicit poll(); the feed goes
-  // silent, so a later tick must catch the deadline miss.
-  sim_.run_until(sim_.now() + seconds(5.0));
-  EXPECT_EQ(monitor_.state(), HealthState::kDegraded);
-  monitor_.stop();
-  const SimTime stopped_at = sim_.now();
-  sim_.run();
-  // No self-rescheduling after stop(): the DES drains.
-  EXPECT_LE((sim_.now() - stopped_at).us, seconds(2.0).us);
-}
-
 // ----------------------------------------------------- proxy degraded gate
 
 class DegradedProxyTest : public ::testing::Test {
@@ -392,9 +342,9 @@ TEST_F(DegradedProxyTest, ExitingDegradedResyncsTableZero) {
   EXPECT_EQ(mods.back().command, FlowModCommand::kDelete);
   EXPECT_EQ(mods.back().table_id, 0);
   EXPECT_EQ(mods.back().cookie_mask.value, 0u);
-  EXPECT_GE(system_.proxy().stats().resync_clears, 1u);
-  EXPECT_EQ(system_.proxy().stats().degraded_entries, 1u);
-  EXPECT_EQ(system_.proxy().stats().degraded_exits, 1u);
+  EXPECT_GE(system_.pcp().stats().resync_clears, 1u);
+  EXPECT_EQ(system_.health().stats().degraded_entries, 1u);
+  EXPECT_EQ(system_.health().stats().degraded_exits, 1u);
 }
 
 class FailOpenProxyTest : public DegradedProxyTest {
@@ -445,7 +395,7 @@ TEST(DfiSystemRecovery, RecoverFromJournalInsideDegradedWindow) {
   EXPECT_EQ(recovery.value().records_replayed, 2u);
 
   // The replay ran inside an explicit degraded window...
-  EXPECT_EQ(system.proxy().stats().degraded_entries, 1u);
+  EXPECT_EQ(system.health().stats().degraded_entries, 1u);
   // ...and the recovered state answers queries.
   EXPECT_EQ(system.policy_manager().size(), 1u);
   EXPECT_EQ(system.erm().users_of_host(Hostname{"h1"}).size(), 1u);

@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event simulator and the service station.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "common/rng.h"
@@ -162,6 +163,38 @@ TEST(SampleStats, EmptyIsSafe) {
   EXPECT_EQ(stats.mean(), 0.0);
   EXPECT_EQ(stats.stddev(), 0.0);
   EXPECT_EQ(stats.percentile(50), 0.0);
+}
+
+TEST(SampleStats, RetainedSamplesAreCappedByAReproducibleReservoir) {
+  constexpr std::size_t kCap = SampleStats::kMaxRetained;
+  SampleStats below;
+  for (std::size_t i = 0; i < 1001; ++i) below.add(static_cast<double>(1000 - i));
+  EXPECT_EQ(below.retained(), 1001u);
+  EXPECT_DOUBLE_EQ(below.percentile(50), 500.0);  // exact below the cap
+
+  // Three times the cap of 0, 1, 2, ...: moments and extremes stay exact,
+  // memory stays at the cap, percentiles stay close.
+  const std::size_t n = 3 * kCap;
+  SampleStats a;
+  SampleStats b;
+  for (std::size_t i = 0; i < n; ++i) {
+    a.add(static_cast<double>(i));
+    b.add(static_cast<double>(i));
+  }
+  EXPECT_EQ(a.count(), n);
+  EXPECT_EQ(a.retained(), kCap);
+  EXPECT_DOUBLE_EQ(a.min(), 0.0);
+  EXPECT_DOUBLE_EQ(a.max(), static_cast<double>(n - 1));
+  EXPECT_NEAR(a.mean(), static_cast<double>(n - 1) / 2.0, 1e-6 * static_cast<double>(n));
+  const double exact_sd = static_cast<double>(n) / std::sqrt(12.0);
+  EXPECT_NEAR(a.stddev(), exact_sd, 1e-3 * exact_sd);
+  for (const double pct : {10.0, 50.0, 90.0, 99.0}) {
+    EXPECT_NEAR(a.percentile(pct), pct / 100.0 * static_cast<double>(n),
+                0.01 * static_cast<double>(n))
+        << "p" << pct;
+    // Fixed seed: the same stream retains the same samples.
+    EXPECT_EQ(a.percentile(pct), b.percentile(pct));
+  }
 }
 
 TEST(TimeSeries, StepFunctionValueAt) {

@@ -3,7 +3,8 @@
 // thread. Covers session establishment through the OpenFlow handshake, the
 // differential proof that the socket path emits byte-identical streams to
 // the in-process Session path, reconnect-with-Table-0-resync through the
-// supervised backoff, and fail-secure teardown with frames in flight.
+// supervised backoff, the tick-driven health clock, and fail-secure
+// teardown with frames in flight.
 //
 // Single-threaded: the event loop is pumped from the test thread.
 #include <gtest/gtest.h>
@@ -21,8 +22,10 @@
 
 #include "bus/message_bus.h"
 #include "core/dfi_system.h"
+#include "core/journal.h"
 #include "net/asyncio/event_loop.h"
 #include "net/asyncio/frontend.h"
+#include "net/packet.h"
 #include "openflow/messages.h"
 #include "openflow/wire.h"
 #include "sim/simulator.h"
@@ -293,6 +296,8 @@ TEST(SocketFrontendTest, HandshakeEstablishesSessionAndPatchesFeatures) {
   // the reconnect test covers the resync path.
   EXPECT_EQ(world.system.pcp().stats().resync_clears, 0u);
   EXPECT_EQ(world.system.proxy().session_count(), 1u);
+  // Health monitoring is off: the tick leaves the simulator clock alone.
+  EXPECT_EQ(world.sim.now().us, 0);
 }
 
 // The tentpole differential proof: the same script, played over real
@@ -411,6 +416,66 @@ TEST(SocketFrontendTest, ControllerUnreachableSeversSwitchAfterCappedBackoff) {
   EXPECT_EQ(world.system.health().stats().reconnects_abandoned, 1u);
   EXPECT_GE(world.system.health().stats().backoff_retries, 1u);
   EXPECT_EQ(world.system.health().degraded_refs(), 0u);
+}
+
+// The health monitor's clock is the simulator's, and the functional
+// config models no delays, so only the frontend tick can move it. After a
+// journal replay the plane dwells in kRecovering for recovering_hold; once
+// that hold has passed in wall time the gate must lift and a table-0
+// Packet-in be decided (here: default deny, one Table-0 add FlowMod).
+TEST(SocketFrontendTest, TickAdvancesHealthClockSoRecoveryHoldElapses) {
+  DfiConfig config = DfiConfig::functional();
+  config.health.enabled = true;
+  config.health.recovering_hold = milliseconds(5.0);
+  FrontendWorld world(config);
+  InMemoryJournalStore store;
+  Journal journal(store);
+  ASSERT_TRUE(world.system.recover_from(journal).ok());
+  EXPECT_EQ(world.system.health().state(), HealthState::kRecovering);
+  ASSERT_TRUE(world.start());
+
+  RawPeer sw = connect_switch(world.port);
+  ASSERT_TRUE(world.pump_until(
+      [&] { return world.frontend->stats().sessions_opened == 1; }));
+  for (const auto& step : handshake_script(0x5)) {
+    if (step.from_switch) {
+      sw.send_frame(step.frame);
+    } else {
+      world.controller.link()->send_frame(step.frame);
+    }
+  }
+  ASSERT_TRUE(world.pump_until(
+      [&] { return world.system.health().state() == HealthState::kHealthy; }))
+      << "health stuck in " << to_string(world.system.health().state())
+      << " at sim time " << world.sim.now().us << " us";
+
+  PacketInMsg miss;
+  miss.reason = PacketInReason::kNoMatch;
+  miss.table_id = 0;
+  miss.in_port = PortNo{1};
+  miss.data = make_tcp_packet(MacAddress::from_u64(1), MacAddress::from_u64(2),
+                              Ipv4Address(10, 0, 0, 1), Ipv4Address(10, 0, 0, 2),
+                              1000, 80)
+                  .serialize();
+  sw.send_frame(encode(OfMessage{77, miss}));
+  const auto table0_adds = [&] {
+    FrameDecoder decoder;
+    decoder.feed(sw.received);
+    std::size_t adds = 0;
+    for (const auto& frame : decoder.drain()) {
+      if (!frame.ok()) continue;
+      const auto* mod = std::get_if<FlowModMsg>(&frame.value().payload);
+      if (mod != nullptr && mod->command == FlowModCommand::kAdd && mod->table_id == 0) {
+        ++adds;
+      }
+    }
+    return adds;
+  };
+  ASSERT_TRUE(world.pump_until([&] {
+    sw.drain();
+    return table0_adds() == 1;
+  }));
+  EXPECT_EQ(world.system.proxy().stats().degraded_suppressed, 0u);
 }
 
 // Regression: an egress-overflow sever is requested from inside the
